@@ -3,19 +3,15 @@
 //!
 //! Unlike the `table1`/`table2` suite benches (which run whatever
 //! `BackendChoice::Auto` routes to and measure the paper's end-to-end
-//! numbers), these rows pin the backend so the basis-representation
-//! engines compete on identical LP streams:
+//! numbers), these rows pin the backend so the dense tableau and the LU
+//! simplex compete on identical LP streams:
 //!
 //! * `rdwalk_small` — the µs-scale Rdwalk Hoeffding LPs the dense
 //!   tableau exists for;
-//! * `coupon_mid` — mid-size Coupon systems, the dense-inverse revised
-//!   simplex's home turf;
+//! * `coupon_mid` — mid-size Coupon systems;
 //! * `3dwalk_large` — the largest Handelman class in the suite
 //!   (m ≈ 64–127 at a few percent density, degenerate εmax systems):
-//!   the class the factorized representations target, and where the
-//!   `lu` (product-form eta file) and `lu-ft` (Forrest–Tomlin spike
-//!   swaps) update schemes race on identical LP streams — the
-//!   pivot-heavy runs FT exists for.
+//!   the pivot-heavy class the factorized representation targets.
 //!
 //! The `sweep_coupon`/`sweep_epsmax` rows race the two LP strategies a
 //! `qava --sweep` chooses between on the harvested reoptimization
@@ -32,7 +28,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use qava_core::hoeffding::{synthesize_reprsm_bound_in, BoundKind};
 use qava_core::suite::{coupon_rows, rdwalk_rows, walk3d_rows};
 use qava_linalg::kernel;
-use qava_lp::debug::{update_solve_cycle, TraceEngine};
+use qava_lp::debug::update_solve_cycle;
 use qava_lp::{BackendChoice, CscMatrix, LpBackend, LpSolver, LuSimplex};
 
 /// Reduced Ser budget: enough ε-probe LPs to exercise warm starts and
@@ -49,9 +45,7 @@ fn bench_lp_kernel(c: &mut Criterion) {
     ];
     for (class, row) in classes {
         let pts = row.compile();
-        for backend in
-            [BackendChoice::Sparse, BackendChoice::Dense, BackendChoice::Lu, BackendChoice::LuFt]
-        {
+        for backend in [BackendChoice::Dense, BackendChoice::Lu] {
             group.bench_with_input(BenchmarkId::new(class, backend), &pts, |bench, pts| {
                 bench.iter(|| {
                     // A fresh session per iteration: cold warm-start
@@ -73,12 +67,10 @@ fn bench_lp_kernel(c: &mut Criterion) {
 }
 
 /// The vecops backend ladder: each selectable [`kernel::VecKernel`]
-/// implementation timed head-to-head on the three access shapes the LP
+/// implementation timed head-to-head on the two access shapes the LP
 /// hot loops are made of — dense contiguous (`dot`, the pricing and
-/// tableau-elimination shape), gathered (`gather_dot`, the CSC
-/// column-against-dense btran shape), and masked-gathered
-/// (`masked_gather_dot`, the Forrest–Tomlin row-spike window shape) —
-/// at lengths 8 (one vector register, dispatch break-even), 64 (a
+/// tableau-elimination shape) and gathered (`gather_dot`, the CSC
+/// column-against-dense btran shape) — at lengths 8 (one vector register, dispatch break-even), 64 (a
 /// typical suite basis), and 512 (vector-throughput territory).
 ///
 /// Rows call the kernel trait objects directly (bypassing the
@@ -113,10 +105,6 @@ fn bench_vecops(c: &mut Criterion) {
             let h = (i as u64).wrapping_mul(0xD1B54A32D192ED03) >> 17;
             idx.swap(i, h as usize % (i + 1));
         }
-        // Positions for the masked shape: pos[r] = r, cutoff at the
-        // midpoint, so half the entries fall inside the window.
-        let pos: Vec<usize> = (0..len).collect();
-        let cutoff = len / 2;
         for k in kernel::available() {
             group.bench_with_input(
                 BenchmarkId::new(format!("vecops_dot{len}"), k.name()),
@@ -139,25 +127,6 @@ fn bench_vecops(c: &mut Criterion) {
                         let mut acc = 0.0;
                         for _ in 0..REPS {
                             acc += k.gather_dot(black_box(&idx), black_box(&vals), black_box(&x));
-                        }
-                        acc
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("vecops_masked{len}"), k.name()),
-                &(),
-                |bench, ()| {
-                    bench.iter(|| {
-                        let mut acc = 0.0;
-                        for _ in 0..REPS {
-                            acc += k.masked_gather_dot(
-                                black_box(&idx),
-                                black_box(&vals),
-                                black_box(&x),
-                                black_box(&pos),
-                                black_box(cutoff),
-                            );
                         }
                         acc
                     })
@@ -193,40 +162,24 @@ fn walk3d_like_matrix() -> CscMatrix {
     CscMatrix::from_sparse_rows(m, n, &rows)
 }
 
-/// The update schemes head to head at **equal refactorization counts**:
-/// one (trivial) factorization, an identical deterministic exchange
-/// chain of 16/64/128/192 pivots — a short run, the eta file's full
-/// between-refactorization budget, FT's, and a pivot-heavier run — then
-/// 256 rounds of one sparse ftran + one dense btran, the pivot loop's
-/// solve mix. The long rows are the ones the Forrest–Tomlin engine
-/// exists for: with the updates absorbed into U there is no eta stack
-/// to traverse, so FT's ftran/btran cost stays flat as the chain grows
-/// while the eta file's climbs — the gap widens monotonically across
-/// the ladder. The short `basis_update16` row watches the other end:
-/// with few updates the eta file's one-component pivot checks skip
-/// nearly everything, so this is where the eta engine is hardest to
-/// beat and where FT's row-eta support masks (which skip ~59% of eta
-/// applications on the real suite's sparse right-hand sides) are meant
-/// to keep the gap from widening further. The `lu-bg` rows race the
-/// Bartels–Golub engine on the same chains: its interchange-based spike
-/// elimination buys stability with extra row-eta fill, and these rows
-/// bound what that costs on FT's home turf.
+/// The eta file's solve cost as it grows: one (trivial) factorization,
+/// an identical deterministic exchange chain of 16/64/128/192 pivots — a
+/// short run, the eta file's full between-refactorization budget, and
+/// two pivot-heavier runs — then 256 rounds of one sparse ftran + one
+/// dense btran, the pivot loop's solve mix, with zero refactorizations.
+/// The short row is where the eta file's one-component pivot checks skip
+/// nearly everything; the long rows price the stack traversal that the
+/// refactorization thresholds bound.
 fn bench_basis_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp/kernel");
     group.sample_size(10);
     let a = walk3d_like_matrix();
     for updates in [16usize, 64, 128, 192] {
-        for (engine, name) in [
-            (TraceEngine::LuEta, "lu"),
-            (TraceEngine::LuFt, "lu-ft"),
-            (TraceEngine::LuBg, "lu-bg"),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("basis_update{updates}"), name),
-                &a,
-                |bench, a| bench.iter(|| update_solve_cycle(engine, a, updates, 256)),
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new(format!("basis_update{updates}"), "lu"),
+            &a,
+            |bench, a| bench.iter(|| update_solve_cycle(a, updates, 256)),
+        );
     }
     group.finish();
 }

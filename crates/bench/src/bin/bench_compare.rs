@@ -339,16 +339,16 @@ mod tests {
         // `lp/` entry missing from the fresh run must gate: otherwise
         // renaming a kernel bench silently drops it from CI.
         let base: BTreeMap<String, f64> = [
-            ("lp/kernel/3dwalk_large/lu-ft", 100.0),
-            ("lp/kernel/coupon_mid/sparse", 100.0),
+            ("lp/kernel/3dwalk_large/lu", 100.0),
+            ("lp/kernel/coupon_mid/dense", 100.0),
             ("table1/concentration/hoeffding/X", 100.0),
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect();
         let fresh: BTreeMap<String, f64> = [
-            ("lp/kernel/coupon_mid/sparse", 101.0),
-            ("lp/kernel/3dwalk_large/lu_ft", 100.0), // renamed: does not count
+            ("lp/kernel/coupon_mid/dense", 101.0),
+            ("lp/kernel/3dwalk_large/lu_eta", 100.0), // renamed: does not count
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))

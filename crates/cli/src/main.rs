@@ -85,15 +85,12 @@ other analyses and output:
   --seed S         Monte-Carlo seed (default 0)
 
 solver:
-  --lp-backend B   LP backend policy: auto (default; routes by size and
-                   density — tiny models on the dense tableau, large
-                   sparse systems on the Forrest–Tomlin LU simplex, the
-                   rest on the sparse revised simplex), sparse, dense,
-                   lu (LU + product-form eta file), lu-ft (LU +
-                   Forrest–Tomlin spike swaps), or lu-bg (LU +
-                   Bartels–Golub row interchanges) — applies to
-                   single-file analyses and to --suite, which also
-                   prints per-backend solve statistics
+  --lp-backend B   LP backend policy: auto (default; tiny models on the
+                   dense tableau, everything else on the LU simplex),
+                   dense (two-phase tableau), or lu (LU + product-form
+                   eta file) — applies to single-file analyses and to
+                   --suite, which also prints per-backend solve
+                   statistics
 
 daemon:
   --connect SOCK   send the analysis to a resident qavad daemon on the
@@ -195,9 +192,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     Some(s.parse().map_err(|_| format!("bad deadline `{s}`"))?);
             }
             "--lp-backend" => {
-                let s = it
-                    .next()
-                    .ok_or("--lp-backend needs auto, sparse, dense, lu, lu-ft, or lu-bg")?;
+                let s = it.next().ok_or("--lp-backend needs auto, dense, or lu")?;
                 opts.lp_backend = s.parse()?;
             }
             "--connect" => {
@@ -984,14 +979,11 @@ mod tests {
 
     #[test]
     fn lp_backend_parses() {
-        let o = parse_args(&args(&["p.qava", "--lp-backend", "sparse"])).unwrap();
-        assert_eq!(o.lp_backend, BackendChoice::Sparse);
+        let o = parse_args(&args(&["p.qava", "--lp-backend", "dense"])).unwrap();
+        assert_eq!(o.lp_backend, BackendChoice::Dense);
         let o = parse_args(&args(&["p.qava", "--lp-backend", "lu"])).unwrap();
         assert_eq!(o.lp_backend, BackendChoice::Lu);
-        let o = parse_args(&args(&["p.qava", "--lp-backend", "lu-ft"])).unwrap();
-        assert_eq!(o.lp_backend, BackendChoice::LuFt);
-        let o = parse_args(&args(&["p.qava", "--lp-backend", "lu-bg"])).unwrap();
-        assert_eq!(o.lp_backend, BackendChoice::LuBg);
+        assert!(parse_args(&args(&["p.qava", "--lp-backend", "lu-ft"])).is_err());
         let o = parse_args(&args(&["p.qava"])).unwrap();
         assert_eq!(o.lp_backend, BackendChoice::default());
         assert!(parse_args(&args(&["p.qava", "--lp-backend", "cuda"])).is_err());

@@ -438,12 +438,12 @@ mod tests {
         let reports = run_rows_with(
             &rows,
             |b| default_engines(b.direction).to_vec(),
-            BackendChoice::Sparse,
+            BackendChoice::Lu,
         );
         let stats = suite_lp_stats(&reports);
         assert!(stats.solves > 0, "lower-bound synthesis must solve LPs");
         assert_eq!(stats.backends.len(), 1, "forced policy uses one backend");
-        assert_eq!(stats.backends[0].name, "sparse");
+        assert_eq!(stats.backends[0].name, "lu");
         let per_run: usize = reports
             .iter()
             .flat_map(|r| &r.runs)

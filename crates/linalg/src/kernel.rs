@@ -1,8 +1,8 @@
 //! Runtime-dispatched SIMD kernel subsystem behind [`vecops`].
 //!
-//! The five sparse/dense kernels every LP pivot funnels through
-//! (`dot`, `axpy`, `gather_dot`, `scatter_axpy`, `masked_gather_dot`,
-//! plus the `norm_inf`/`scale` pair equilibration uses) are defined once
+//! The four sparse/dense kernels every LP pivot funnels through
+//! (`dot`, `axpy`, `gather_dot`, `scatter_axpy`, plus the
+//! `norm_inf`/`scale` pair equilibration uses) are defined once
 //! as the [`VecKernel`] trait and implemented three times:
 //!
 //! * [`scalar`] — the portable four-wide unrolled baseline, always
@@ -59,9 +59,7 @@ pub use scalar::ScalarKernel;
 /// directly (tests, benches) clamp to the shorter length rather than
 /// read out of bounds. Gathered kernels must panic on an out-of-bounds
 /// index, never read it, and `scatter_axpy` requires pairwise-distinct
-/// indices. `masked_gather_dot` must not let a window-excluded entry's
-/// value reach the accumulator (the FT spike workspace holds garbage —
-/// possibly NaN — outside the active window).
+/// indices.
 ///
 /// [`vecops`]: crate::vecops
 pub trait VecKernel: Sync + Send {
@@ -76,15 +74,6 @@ pub trait VecKernel: Sync + Send {
     fn gather_dot(&self, idx: &[usize], vals: &[f64], x: &[f64]) -> f64;
     /// Sparse scatter update `y[idx[k]] += alpha · vals[k]`.
     fn scatter_axpy(&self, alpha: f64, idx: &[usize], vals: &[f64], y: &mut [f64]);
-    /// Windowed gather dot `Σ_{pos[idx[k]] > cutoff} vals[k] · x[idx[k]]`.
-    fn masked_gather_dot(
-        &self,
-        idx: &[usize],
-        vals: &[f64],
-        x: &[f64],
-        pos: &[usize],
-        cutoff: usize,
-    ) -> f64;
     /// Maximum absolute entry; `0.0` for the empty slice, NaN entries
     /// ignored (the `f64::max` fold semantics).
     fn norm_inf(&self, x: &[f64]) -> f64;

@@ -15,10 +15,7 @@
 //! hardware gather: it is microcoded on every AVX2 part and loses to
 //! four ordinary loads packed with `_mm256_set_pd`. The insert-based
 //! form also keeps the loads as ordinary bounds-checked indexing, so
-//! out-of-range indices panic exactly like the scalar baseline (and
-//! `masked_gather_dot` touches `x` only inside the window, preserving
-//! the "never reads excluded entries" guarantee the FT spike
-//! elimination relies on).
+//! out-of-range indices panic exactly like the scalar baseline.
 //!
 //! # Numerics
 //!
@@ -35,8 +32,8 @@
 //!   scalar accumulator `s_k` and the final reduction in the baseline's
 //!   `(s0+s1)+(s2+s3)+tail` association; `scatter_axpy`, `norm_inf`,
 //!   and `scale` perform the identical per-element operations. This is
-//!   deliberate, not incidental: the Forrest–Tomlin and eta-file solve
-//!   paths run almost entirely on the gathered kernels, and keeping
+//!   deliberate, not incidental: the LU and eta-file solve paths run
+//!   almost entirely on the gathered kernels, and keeping
 //!   them bit-exact keeps pivot trajectories identical across backends
 //!   on the suite's knife-edge degenerate LPs (an early FMA variant of
 //!   the gathers tipped one εmax system into a ~50k-pivot Bland
@@ -82,18 +79,6 @@ impl VecKernel for Avx2Kernel {
     fn scatter_axpy(&self, alpha: f64, idx: &[usize], vals: &[f64], y: &mut [f64]) {
         // SAFETY: selection guarantees avx2+fma (module docs).
         unsafe { scatter_axpy(alpha, idx, vals, y) }
-    }
-
-    fn masked_gather_dot(
-        &self,
-        idx: &[usize],
-        vals: &[f64],
-        x: &[f64],
-        pos: &[usize],
-        cutoff: usize,
-    ) -> f64 {
-        // SAFETY: selection guarantees avx2+fma (module docs).
-        unsafe { masked_gather_dot(idx, vals, x, pos, cutoff) }
     }
 
     fn norm_inf(&self, x: &[f64]) -> f64 {
@@ -227,44 +212,6 @@ unsafe fn scatter_axpy(alpha: f64, idx: &[usize], vals: &[f64], y: &mut [f64]) {
         y[idx[i]] += alpha * vals[i];
         i += 1;
     }
-}
-
-#[target_feature(enable = "avx2,fma")]
-unsafe fn masked_gather_dot(
-    idx: &[usize],
-    vals: &[f64],
-    x: &[f64],
-    pos: &[usize],
-    cutoff: usize,
-) -> f64 {
-    // Insert-based masked gather, same rationale as [`gather_dot`]
-    // (including bit-exactness): the per-lane window test selects `x[r]`
-    // or `0.0` *before* the lanes are packed, so an excluded entry's
-    // value (NaN in the FT workspace outside the active window) never
-    // enters the product, and the bounds-check/panic behavior is
-    // lane-for-lane identical to the scalar baseline (`pos` indexed
-    // always, `x` only inside the window).
-    let n = idx.len().min(vals.len());
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let (r0, r1, r2, r3) = (idx[i], idx[i + 1], idx[i + 2], idx[i + 3]);
-        let v0 = if pos[r0] > cutoff { x[r0] } else { 0.0 };
-        let v1 = if pos[r1] > cutoff { x[r1] } else { 0.0 };
-        let v2 = if pos[r2] > cutoff { x[r2] } else { 0.0 };
-        let v3 = if pos[r3] > cutoff { x[r3] } else { 0.0 };
-        let g = _mm256_set_pd(v3, v2, v1, v0);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(vals.as_ptr().add(i)), g));
-        i += 4;
-    }
-    let mut tail = 0.0;
-    while i < n {
-        let r = idx[i];
-        let p = if pos[r] > cutoff { x[r] } else { 0.0 };
-        tail += vals[i] * p;
-        i += 1;
-    }
-    hsum_lane_pairs(acc) + tail
 }
 
 #[target_feature(enable = "avx2,fma")]

@@ -53,18 +53,6 @@ impl VecKernel for NeonKernel {
         unsafe { scatter_axpy(alpha, idx, vals, y) }
     }
 
-    fn masked_gather_dot(
-        &self,
-        idx: &[usize],
-        vals: &[f64],
-        x: &[f64],
-        pos: &[usize],
-        cutoff: usize,
-    ) -> f64 {
-        // SAFETY: selection guarantees neon (module docs).
-        unsafe { masked_gather_dot(idx, vals, x, pos, cutoff) }
-    }
-
     fn norm_inf(&self, x: &[f64]) -> f64 {
         // SAFETY: selection guarantees neon (module docs).
         unsafe { norm_inf(x) }
@@ -171,41 +159,6 @@ unsafe fn scatter_axpy(alpha: f64, idx: &[usize], vals: &[f64], y: &mut [f64]) {
         y[idx[i]] += alpha * vals[i];
         i += 1;
     }
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn masked_gather_dot(
-    idx: &[usize],
-    vals: &[f64],
-    x: &[f64],
-    pos: &[usize],
-    cutoff: usize,
-) -> f64 {
-    // Select-to-zero in the lane constructor: an excluded entry's value
-    // is never read, exactly like the scalar baseline. Mul + add and the
-    // four-accumulator shape keep the result bit-exact with it (see
-    // [`gather_dot`]).
-    let n = idx.len().min(vals.len());
-    let mut acc0 = vdupq_n_f64(0.0);
-    let mut acc1 = vdupq_n_f64(0.0);
-    let pick = |r: usize| if pos[r] > cutoff { x[r] } else { 0.0 };
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let g0 = [pick(idx[i]), pick(idx[i + 1])];
-        let g1 = [pick(idx[i + 2]), pick(idx[i + 3])];
-        acc0 = vaddq_f64(acc0, vmulq_f64(vld1q_f64(vals.as_ptr().add(i)), vld1q_f64(g0.as_ptr())));
-        acc1 = vaddq_f64(
-            acc1,
-            vmulq_f64(vld1q_f64(vals.as_ptr().add(i + 2)), vld1q_f64(g1.as_ptr())),
-        );
-        i += 4;
-    }
-    let mut tail = 0.0;
-    while i < n {
-        tail += vals[i] * pick(idx[i]);
-        i += 1;
-    }
-    vaddvq_f64(acc0) + vaddvq_f64(acc1) + tail
 }
 
 #[target_feature(enable = "neon")]

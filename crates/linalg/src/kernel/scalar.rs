@@ -36,17 +36,6 @@ impl VecKernel for ScalarKernel {
         scatter_axpy(alpha, idx, vals, y);
     }
 
-    fn masked_gather_dot(
-        &self,
-        idx: &[usize],
-        vals: &[f64],
-        x: &[f64],
-        pos: &[usize],
-        cutoff: usize,
-    ) -> f64 {
-        masked_gather_dot(idx, vals, x, pos, cutoff)
-    }
-
     fn norm_inf(&self, x: &[f64]) -> f64 {
         norm_inf(x)
     }
@@ -119,37 +108,6 @@ pub(crate) fn scatter_axpy(alpha: f64, idx: &[usize], vals: &[f64], y: &mut [f64
     for (&r, &v) in ci.remainder().iter().zip(cv.remainder()) {
         y[r] += alpha * v;
     }
-}
-
-pub(crate) fn masked_gather_dot(
-    idx: &[usize],
-    vals: &[f64],
-    x: &[f64],
-    pos: &[usize],
-    cutoff: usize,
-) -> f64 {
-    debug_assert_eq!(idx.len(), vals.len());
-    let mut ci = idx.chunks_exact(4);
-    let mut cv = vals.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    // Select-to-zero rather than conditional skip: the four accumulator
-    // lanes stay independent (a branch would serialize them), and an
-    // excluded entry's `x` value is never read into the product, so the
-    // caller's workspace only has to be clean inside the window.
-    let pick = |r: usize| if pos[r] > cutoff { x[r] } else { 0.0 };
-    for (is, vs) in ci.by_ref().zip(cv.by_ref()) {
-        s0 += vs[0] * pick(is[0]);
-        s1 += vs[1] * pick(is[1]);
-        s2 += vs[2] * pick(is[2]);
-        s3 += vs[3] * pick(is[3]);
-    }
-    let tail: f64 = ci
-        .remainder()
-        .iter()
-        .zip(cv.remainder())
-        .map(|(&r, &v)| v * pick(r))
-        .sum();
-    (s0 + s1) + (s2 + s3) + tail
 }
 
 pub(crate) fn norm_inf(x: &[f64]) -> f64 {

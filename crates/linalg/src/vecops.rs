@@ -3,11 +3,10 @@
 //! Vectors flow between crates as plain `Vec<f64>`; these helpers keep the
 //! call sites short without committing the whole workspace to a wrapper type.
 //!
-//! The `dot`/`axpy`/`gather_dot`/`scatter_axpy`/`masked_gather_dot` kernels
-//! are the inner loops of the revised simplex (`B⁻¹` row updates,
+//! The `dot`/`axpy`/`gather_dot`/`scatter_axpy` kernels are the inner
+//! loops of the simplex backends (tableau row elimination,
 //! simplex-multiplier accumulation, column pricing, and the sparse
-//! triangular solves through the LU factors, eta file and Forrest–Tomlin
-//! row etas). Since PR 8 they dispatch through the [`kernel`](crate::kernel)
+//! triangular solves through the LU factors and the eta file). Since PR 8 they dispatch through the [`kernel`](crate::kernel)
 //! subsystem: one runtime selection per process picks the best
 //! [`VecKernel`](crate::kernel::VecKernel) backend the CPU proves
 //! (AVX2+FMA on x86_64, NEON on aarch64, the portable four-wide scalar
@@ -95,41 +94,6 @@ pub fn scatter_axpy(alpha: f64, idx: &[usize], vals: &[f64], y: &mut [f64]) {
         scalar::scatter_axpy(alpha, idx, vals, y);
     } else {
         kernel::active().scatter_axpy(alpha, idx, vals, y);
-    }
-}
-
-/// Masked sparse gather dot product `Σ_k vals[k] · x[idx[k]]` over the
-/// entries whose position `pos[idx[k]]` is strictly greater than
-/// `cutoff` — the row-spike elimination kernel of the Forrest–Tomlin
-/// basis update, where one U column is dotted against the running spike
-/// multipliers but only the entries inside the active permutation window
-/// `(cutoff, m)` participate (everything at or before the cut is outside
-/// the spike row and must not touch the workspace).
-///
-/// Fusing the position test into the gather keeps the kernel O(nnz of
-/// the column) with no materialized sub-column, and lets the caller keep
-/// a workspace that is only clean inside the window: an excluded entry's
-/// `x` value is never read into the product under any kernel backend.
-///
-/// # Panics
-///
-/// Panics if `idx` and `vals` have different lengths, or if an index is
-/// out of bounds for `pos`, or if a window-*included* index is out of
-/// bounds for `x` — identically under every kernel backend (the SIMD
-/// backends run the window test per lane before touching `x`).
-#[inline]
-pub fn masked_gather_dot(
-    idx: &[usize],
-    vals: &[f64],
-    x: &[f64],
-    pos: &[usize],
-    cutoff: usize,
-) -> f64 {
-    assert_eq!(idx.len(), vals.len(), "masked_gather_dot: length mismatch");
-    if idx.len() < kernel::DISPATCH_MIN {
-        scalar::masked_gather_dot(idx, vals, x, pos, cutoff)
-    } else {
-        kernel::active().masked_gather_dot(idx, vals, x, pos, cutoff)
     }
 }
 
@@ -262,46 +226,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn gather_dot_length_mismatch_panics() {
         gather_dot(&[0], &[1.0, 2.0], &[1.0]);
-    }
-
-    #[test]
-    fn masked_gather_dot_respects_the_position_window() {
-        let x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        // A permutation of positions, deliberately not the identity.
-        let pos = vec![3usize, 0, 5, 1, 7, 2, 6, 4];
-        let idx = [0usize, 2, 3, 5, 1, 7, 6];
-        let vals = [2.0, -1.0, 0.5, 4.0, 3.0, -0.25, 1.5];
-        for cutoff in 0..8usize {
-            for take in 0..=idx.len() {
-                let naive: f64 = idx[..take]
-                    .iter()
-                    .zip(&vals[..take])
-                    .filter(|&(&r, _)| pos[r] > cutoff)
-                    .map(|(&r, &v)| v * x[r])
-                    .sum();
-                let got = masked_gather_dot(&idx[..take], &vals[..take], &x, &pos, cutoff);
-                assert!((got - naive).abs() < 1e-12, "cutoff {cutoff} take {take}");
-            }
-        }
-    }
-
-    #[test]
-    fn masked_gather_dot_never_reads_excluded_entries() {
-        // Entries outside the window hold NaN: the kernel must not let
-        // them poison the sum (select-to-zero, not multiply-by-mask).
-        // Length 9 pushes the call through the dispatched SIMD path.
-        let x = vec![f64::NAN, 2.0, f64::NAN, 4.0, 1.0, f64::NAN, 3.0, f64::NAN, 5.0];
-        let pos = vec![0usize, 4, 1, 5, 6, 2, 7, 3, 8];
-        let idx = [0usize, 1, 2, 3, 4, 5, 6, 7, 8];
-        let vals = [1.0; 9];
-        let got = masked_gather_dot(&idx, &vals, &x, &pos, 3);
-        assert_eq!(got, 2.0 + 4.0 + 1.0 + 3.0 + 5.0, "every NaN entry sits outside the window");
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn masked_gather_dot_length_mismatch_panics() {
-        masked_gather_dot(&[0], &[1.0, 2.0], &[1.0], &[0], 0);
     }
 
     #[test]

@@ -187,7 +187,6 @@ fn kernels_agree_on_gathered_ops_at_every_tail_length() {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         perm.swap(i, (state >> 33) as usize % (i + 1));
     }
-    let pos: Vec<usize> = perm.iter().map(|&p| (p * 7 + 3) % m).collect();
     for k in simd_backends() {
         for len in 0..=m {
             let idx = &perm[..len];
@@ -200,14 +199,6 @@ fn kernels_agree_on_gathered_ops_at_every_tail_length() {
                 "{} gather_dot len {len}",
                 k.name()
             );
-            for cutoff in [0usize, 7, m] {
-                assert_eq!(
-                    k.masked_gather_dot(idx, &vals, &x, &pos, cutoff).to_bits(),
-                    ScalarKernel.masked_gather_dot(idx, &vals, &x, &pos, cutoff).to_bits(),
-                    "{} masked_gather_dot len {len} cutoff {cutoff}",
-                    k.name()
-                );
-            }
 
             let mut y_simd = x.clone();
             let mut y_ref = x.clone();

@@ -26,6 +26,8 @@
 //!   `warm-poison` fault-injection site pins for the session cache).
 //! * [`SharedBasisCache::save`] writes to a temporary sibling and
 //!   renames, so a crash mid-spill leaves the previous file intact.
+//!   Spills of one store are serialized, so concurrent spills to the
+//!   same path never share the temporary file.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -126,6 +128,11 @@ pub struct SharedBasisCache {
     /// Mutations since the last [`take_dirty`](Self::take_dirty); lets a
     /// daemon spill only when something changed.
     dirty: AtomicU64,
+    /// Held by [`save`](Self::save) from snapshot to rename: every spill
+    /// goes through the one temporary path `path.with_extension("tmp")`,
+    /// and two requests finishing together would otherwise truncate each
+    /// other's temporary file and fail the loser's rename.
+    spill: Mutex<()>,
 }
 
 impl Default for SharedBasisCache {
@@ -140,6 +147,7 @@ impl SharedBasisCache {
         SharedBasisCache {
             inner: Mutex::new(BasisCache::new(capacity)),
             dirty: AtomicU64::new(0),
+            spill: Mutex::new(()),
         }
     }
 
@@ -194,12 +202,15 @@ impl SharedBasisCache {
     }
 
     /// Serializes the store to `path` (temp-file + rename, so a crash
-    /// mid-write leaves any previous spill intact).
+    /// mid-write leaves any previous spill intact). Concurrent calls are
+    /// serialized, so the last rename carries the newest snapshot.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the filesystem.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        // Poisoning carries no state worth refusing over (see `lock`).
+        let _spill = self.spill.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let body = {
             let guard = self.lock();
             // Stable ordering for reproducible files (and tests).
@@ -495,5 +506,30 @@ mod tests {
             }
         });
         assert!(cache.len() <= 32, "LRU bound holds under concurrency");
+    }
+
+    #[test]
+    fn concurrent_spills_to_one_path_never_collide() {
+        // Requests finishing together each spill the shared store to the
+        // daemon's one cache file.
+        let path = tmp("concurrent-spill.warm");
+        let cache = std::sync::Arc::new(SharedBasisCache::new(64));
+        for key in 0..48u64 {
+            cache.put(key, vec![key as usize; 1 + (key % 5) as usize]);
+        }
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let (cache, path) = (cache.clone(), path.clone());
+                s.spawn(move || {
+                    for i in 0..50 {
+                        cache.save(&path).unwrap_or_else(|e| panic!("spill {i} failed: {e}"));
+                    }
+                });
+            }
+        });
+        let back = SharedBasisCache::load(&path, 64).expect("final spill is intact");
+        for key in 0..48u64 {
+            assert_eq!(back.get(key), Some(vec![key as usize; 1 + (key % 5) as usize]), "{key}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Product-form eta file and the LU-backed basis representation.
 //!
 //! After a basis exchange `B' = B·E` — column `r` of the identity
-//! replaced by the ftran'd entering column `u` — the dense-inverse path
-//! rewrites every row of `B⁻¹` (O(m²)). The product form instead
+//! replaced by the ftran'd entering column `u` — an explicit inverse
+//! would rewrite every row of `B⁻¹` (O(m²)). The product form instead
 //! **appends one eta vector**: `B'⁻¹ = E⁻¹·B⁻¹`, so a pivot costs
 //! O(nnz(u)) and the solves simply run through the eta stack:
 //!
@@ -18,8 +18,7 @@
 //! The stack cannot grow forever: each eta adds nonzeros to every later
 //! solve and compounds rounding error. [`LuBasis`] therefore triggers
 //! refactorization (a fresh [`LuFactors`] run, emptying the stack) on
-//! any of three conditions instead of the dense path's fixed pivot
-//! period:
+//! any of three conditions instead of a fixed pivot period:
 //!
 //! * **eta count** — more than [`MAX_ETAS`] updates since the last
 //!   factorization;
@@ -31,13 +30,11 @@
 //!   the next factorization from scratch resets it.
 
 use crate::lu::LuFactors;
-use crate::revised::BasisRepr;
 use crate::CscMatrix;
 use qava_linalg::vecops;
 
-/// Eta-count refactorization threshold (matches the dense path's
-/// refactorization cadence so both representations see comparable
-/// error-accumulation windows).
+/// Eta-count refactorization threshold: bounds the error-accumulation
+/// window between factorizations.
 const MAX_ETAS: usize = 64;
 
 /// Fill-in threshold: refactorize when the eta stack holds more than
@@ -123,7 +120,7 @@ impl EtaFile {
     }
 
     /// Transposed application specialized to a unit start vector `eᵢ` —
-    /// the btran behind [`BasisRepr::binv_row`](crate::revised::BasisRepr),
+    /// the btran behind [`LuBasis::binv_row`],
     /// i.e. the pricing row `ρ = eᵣᵀB⁻¹` of the dual-simplex ratio test.
     /// While the running vector is still the singleton `{i}`, an eta only
     /// acts if its pivot row *is* `i` (a scalar divide) or its off-pivot
@@ -152,7 +149,10 @@ impl EtaFile {
 
 /// The LU-factorized basis representation: [`LuFactors`] for the last
 /// refactorization point plus the [`EtaFile`] of updates since — the
-/// engine behind the `lu` backend ([`crate::LuSimplex`]).
+/// stand-in for `B⁻¹` behind the `lu` backend ([`crate::LuSimplex`]).
+/// It answers the queries the simplex loop needs: forward
+/// transformation (`B⁻¹·a_j`), backward transformation (`c_Bᵀ·B⁻¹`),
+/// single rows of `B⁻¹`, and the basis-exchange update.
 #[derive(Debug, Clone)]
 pub(crate) struct LuBasis {
     m: usize,
@@ -170,14 +170,18 @@ impl LuBasis {
         self.etas.apply(&mut x);
         x
     }
-}
 
-impl BasisRepr for LuBasis {
-    fn identity(m: usize) -> Self {
+    /// The representation of the all-artificial identity basis (the
+    /// phase-1 starting point).
+    pub(crate) fn identity(m: usize) -> Self {
         LuBasis { m, lu: LuFactors::identity(m), etas: EtaFile::default(), shaky: false }
     }
 
-    fn refactor(&mut self, a: &CscMatrix, n: usize, basis: &[usize]) -> bool {
+    /// Rebuilds the factors from scratch for the given basis (artificial
+    /// columns are `a.cols()..`, stored as unit columns) and empties the
+    /// eta file. Returns `false` — leaving the previous state untouched —
+    /// when the basis matrix is singular.
+    pub(crate) fn refactor(&mut self, a: &CscMatrix, n: usize, basis: &[usize]) -> bool {
         let cols: Vec<(Vec<usize>, Vec<f64>)> =
             basis.iter().map(|&j| crate::revised::basis_col(a, n, j)).collect();
         match LuFactors::factorize(self.m, &cols) {
@@ -191,7 +195,9 @@ impl BasisRepr for LuBasis {
         }
     }
 
-    fn ftran_col(&self, idx: &[usize], vals: &[f64]) -> Vec<f64> {
+    /// `B⁻¹ · v` for a sparse column `v` given as parallel
+    /// `(indices, values)` slices.
+    pub(crate) fn ftran_col(&self, idx: &[usize], vals: &[f64]) -> Vec<f64> {
         let mut x = vec![0.0; self.m];
         for (&r, &v) in idx.iter().zip(vals) {
             x[r] = v;
@@ -199,17 +205,20 @@ impl BasisRepr for LuBasis {
         self.solve_scattered(x)
     }
 
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
+    /// `B⁻¹ · rhs` for a dense right-hand side.
+    pub(crate) fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
         self.solve_scattered(rhs.to_vec())
     }
 
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64> {
+    /// `c_Bᵀ · B⁻¹` for a dense basic-cost vector.
+    pub(crate) fn btran_dense(&self, cb: &[f64]) -> Vec<f64> {
         let mut c = cb.to_vec();
         self.etas.apply_transpose(&mut c);
         self.lu.btran(&c)
     }
 
-    fn binv_row(&self, i: usize) -> Vec<f64> {
+    /// Row `i` of `B⁻¹` (equivalently `eᵢᵀ·B⁻¹`).
+    pub(crate) fn binv_row(&self, i: usize) -> Vec<f64> {
         // Unit-vector btran through the singleton-aware eta fast path
         // (the dual ratio test prices one such row per dual pivot).
         let mut e = vec![0.0; self.m];
@@ -218,34 +227,23 @@ impl BasisRepr for LuBasis {
         self.lu.btran(&e)
     }
 
-    fn update(
-        &mut self,
-        row: usize,
-        u: &[f64],
-        support: &[usize],
-        _col_idx: &[usize],
-        _col_vals: &[f64],
-    ) {
+    /// Applies the basis exchange: the variable at `row` leaves and the
+    /// column with ftran'd direction `u` enters. `support` lists the
+    /// indices `i` with `|u[i]| > EPS` in increasing order, so sparse
+    /// directions only touch their own rows.
+    pub(crate) fn update(&mut self, row: usize, u: &[f64], support: &[usize]) {
         if u[row].abs() < SHAKY_PIVOT || crate::faults::trip(crate::faults::Site::UpdatePivot) {
             self.shaky = true;
         }
         self.etas.push(row, u, support);
     }
 
-    fn should_refactor(&self, _iteration: usize) -> bool {
+    /// Whether the accumulated updates warrant a refactorization now
+    /// (eta count, fill-in, or an accuracy-risky pivot).
+    pub(crate) fn should_refactor(&self) -> bool {
         self.shaky
             || self.etas.len() >= MAX_ETAS
             || self.etas.nnz() > FILL_FACTOR * self.lu.nnz()
-    }
-
-    /// Optimality claimed through a non-empty eta stack must be
-    /// re-derived from fresh factors: accumulated product-form error has
-    /// been observed to both mask improving columns and corrupt the
-    /// reported `x_B` (the `drift_regression` instance), and the final
-    /// refactorization also hands the session an exactly-consistent
-    /// basis for the warm-start cache.
-    fn trusts_incremental_optimal(&self) -> bool {
-        false
     }
 }
 
@@ -340,7 +338,7 @@ mod tests {
             let u = incremental.ftran_col(idx, vals);
             let support: Vec<usize> =
                 (0..3).filter(|&i| u[i].abs() > qava_linalg::EPS).collect();
-            incremental.update(slot, &u, &support, idx, vals);
+            incremental.update(slot, &u, &support);
             basis[slot] = col;
 
             let mut fresh = LuBasis::identity(3);
@@ -378,7 +376,7 @@ mod tests {
             let u = repr.ftran_col(idx, vals);
             let support: Vec<usize> =
                 (0..3).filter(|&i| u[i].abs() > qava_linalg::EPS).collect();
-            repr.update(slot, &u, &support, idx, vals);
+            repr.update(slot, &u, &support);
         }
         assert_eq!(repr.etas.len(), 2, "fast path must see live etas");
         for i in 0..3 {
@@ -397,20 +395,20 @@ mod tests {
         let a = basis_csc(vec![vec![1.0]]);
         let mut repr = LuBasis::identity(1);
         assert!(repr.refactor(&a, 1, &[0]));
-        assert!(!repr.should_refactor(0));
+        assert!(!repr.should_refactor());
         // Eta-count threshold.
         for _ in 0..MAX_ETAS {
-            repr.update(0, &[2.0], &[0], &[0], &[1.0]);
+            repr.update(0, &[2.0], &[0]);
         }
-        assert!(repr.should_refactor(0));
+        assert!(repr.should_refactor());
         assert!(repr.refactor(&a, 1, &[0]), "refactor resets the eta stack");
-        assert!(!repr.should_refactor(0));
+        assert!(!repr.should_refactor());
         // Accuracy threshold: one tiny pivot is enough.
-        repr.update(0, &[1e-9], &[0], &[0], &[1.0]);
-        assert!(repr.should_refactor(0));
+        repr.update(0, &[1e-9], &[0]);
+        assert!(repr.should_refactor());
         // Singular refactorization keeps the incremental state.
         let singular = basis_csc(vec![vec![0.0]]);
         assert!(!repr.refactor(&singular, 1, &[0]));
-        assert!(repr.should_refactor(0), "state kept after failed refactor");
+        assert!(repr.should_refactor(), "state kept after failed refactor");
     }
 }

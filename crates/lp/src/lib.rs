@@ -11,53 +11,34 @@
 //! * [`LpBuilder`] — incremental model construction with named variables and
 //!   sparse [`LinExpr`] linear expressions;
 //! * the [`LpBackend`] **trait** — the runtime-dispatchable core-solver
-//!   interface — with **five** built-in implementations:
-//!   * [`DenseTableau`] — the two-phase tableau; minimal fixed cost for
-//!     µs-scale models, and the differential-testing oracle (also
-//!     exported standalone as [`solve_standard_dense`]);
-//!   * [`SparseRevised`] — revised simplex over CSC columns with an
-//!     explicit dense basis inverse: O(m²) rank-one updates, unbeatable
-//!     constants on small/dense bases;
-//!   * [`LuSimplex`] (`lu`) — the same pivoting loop over a **sparse LU
-//!     factorization with product-form eta updates**: each pivot appends
-//!     one O(nnz) eta vector, ftran/btran run through the
-//!     Markowitz-ordered L/U factors plus the eta stack, and
-//!     refactorization is driven by eta-count/fill-in/accuracy
-//!     thresholds;
-//!   * [`LuFtSimplex`] (`lu-ft`) — the same factorization with
-//!     **Forrest–Tomlin spike swaps**: basis exchanges edit the U factor
-//!     in place (column replacement + row-permutation rotation + one
-//!     sparse spike-row eta), so solves stay O(nnz(L) + nnz(U)) between
-//!     refactorizations with no eta stack to traverse; refactorization
-//!     is driven by U fill-in growth and spike-pivot magnitude;
-//!   * [`LuBgSimplex`] (`lu-bg`) — the same factorization with
-//!     **Bartels–Golub updates**: the spike row is eliminated with
-//!     partial pivoting — at each step the chased row *interchanges*
-//!     with the diagonal's row whenever its entry is the larger, so
-//!     every elimination multiplier is bounded by one and a tiny spike
-//!     pivot swaps instead of amplifying, at the cost of extra row
-//!     fill; stability accounting (interchanges, spike-pivot growth,
-//!     accuracy-triggered refactorizations) flows into [`LpStats`].
+//!   interface — with **two** built-in implementations:
+//!   * [`DenseTableau`] (`dense`) — the two-phase tableau; minimal fixed
+//!     cost for the µs-scale probes of at most 16 rows and 96 columns,
+//!     and the differential-testing oracle (also exported standalone as
+//!     [`solve_standard_dense`]);
+//!   * [`LuSimplex`] (`lu`) — the revised simplex over CSC columns with
+//!     the basis held as a **sparse LU factorization plus a product-form
+//!     eta file**: each pivot appends one O(nnz) eta vector, ftran/btran
+//!     run through the Markowitz-ordered L/U factors plus the eta stack,
+//!     and refactorization is driven by eta-count/fill-in/accuracy
+//!     thresholds.
 //!
-//!   The LU update schemes share everything but the update algebra,
-//!   so they can be differentially raced against each other (and the
-//!   dense oracle) — the conformance corpus in `tests/corpus/` and the
-//!   metamorphic suite in `tests/prop.rs` do exactly that;
+//!   The conformance corpus in `tests/corpus/` and the metamorphic suite
+//!   in `tests/prop.rs` race the two against each other;
 //! * the [`LpSolver`] **session** — one per synthesis run — owning the
 //!   shared pipeline (presolve: empty/duplicate-row removal and
 //!   fixed-variable elimination; max-norm equilibration), the backend
-//!   selection policy ([`BackendChoice`]: `auto` routes by size **and**
-//!   density — µs-scale models to the dense tableau, large sparse
-//!   systems to the Forrest–Tomlin LU simplex, mid-size/dense ones to
-//!   the dense-inverse revised simplex), a bounded-LRU warm-start basis
+//!   selection policy ([`BackendChoice`]: `auto` routes µs-scale models
+//!   to the dense tableau and everything above the dense cutover to the
+//!   LU simplex), a bounded-LRU warm-start basis
 //!   cache keyed by LP sparsity pattern, and per-solve statistics
 //!   ([`LpStats`]: pivots, presolve reductions, warm-start hits,
 //!   feasibility-watchdog restarts, anti-cycling retries, dual
 //!   reoptimizations, wall time). Sessions offer **dual-simplex
 //!   reoptimization** ([`LpSolver::reoptimize`], or session-wide via
 //!   [`LpSolver::set_reoptimize`]) for parametric families: when a
-//!   solve's reduced pattern has a cached final basis, the revised
-//!   backends refactorize that basis once and — while it still prices
+//!   solve's reduced pattern has a cached final basis, the `lu` backend
+//!   refactorizes that basis once and — while it still prices
 //!   out dual-feasible, which RHS-only perturbations guarantee — run
 //!   dual pivots back to primal feasibility instead of a cold two-phase
 //!   solve, with unchanged verdict certification and an unconditional
@@ -71,13 +52,8 @@
 //!
 //! The synthesis LPs routinely reach hundreds of rows and thousands of
 //! columns at a few percent density; the revised method prices columns in
-//! O(nnz), and on a basis that sparse the LU representations keep the
+//! O(nnz), and on a basis that sparse the LU factors and eta file keep the
 //! whole per-pivot hot path at O(nnz) too.
-//!
-//! The `dense-simplex` cargo feature is a thin default-backend switch: it
-//! only changes [`BackendChoice::default`] (and thus new sessions and the
-//! free-function shims) to the dense tableau. All backends are always
-//! compiled and always selectable at runtime.
 //!
 //! # Failure semantics
 //!
@@ -94,8 +70,10 @@
 //! * **The failover ladder** comes second: if a built-in backend still
 //!   returns [`LpError::PivotLimit`], the session invalidates the
 //!   warm-start cache entry that seeded the failed run and steps down
-//!   `lu-ft → lu-bg → lu → sparse → dense`, re-running the full pipeline
-//!   (presolve + equilibration) on each rung. Each step increments
+//!   `lu → dense`, re-running the full pipeline (presolve +
+//!   equilibration) on the rung. The ladder wraps: a failed `dense`
+//!   gives `lu` one shot, and an external backend fails over to `lu`
+//!   first. Each step increments
 //!   `LpStats::failovers`; a rung that succeeds increments
 //!   `LpStats::failover_recoveries` and its verdict is the session's.
 //!   `Infeasible`/`Unbounded` are *verdicts*, not faults — they return
@@ -143,7 +121,7 @@
 //!
 //! # Registering and selecting backends
 //!
-//! Sessions are born with the four built-ins, selected by policy or by
+//! Sessions are born with the two built-ins, selected by policy or by
 //! name; external backends implement [`LpBackend`] against the
 //! presolved/equilibrated core form and plug in without touching any
 //! synthesis code:
@@ -165,19 +143,17 @@
 //!     }
 //! }
 //!
-//! let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+//! let mut solver = LpSolver::with_choice(BackendChoice::Lu);
 //! solver.register_backend(Box::new(MyBackend)); // registered AND selected
-//! assert_eq!(solver.backend_names(), vec!["sparse", "dense", "lu", "lu-ft", "lu-bg", "mine"]);
-//! assert!(solver.select_backend("lu-ft")); // …and back to a built-in
+//! assert_eq!(solver.backend_names(), vec!["dense", "lu", "mine"]);
+//! assert!(solver.select_backend("lu")); // …and back to a built-in
 //! ```
 
-mod bg;
 mod cache;
 mod csc;
 mod eta;
 mod expr;
 pub mod faults;
-mod ft;
 mod lu;
 mod presolve;
 mod revised;
@@ -195,91 +171,22 @@ pub use faults::{FaultKind, FaultPlan};
 pub use simplex::{solve_standard_dense, MAX_PIVOTS};
 pub use solver::{
     BackendChoice, BackendTally, CoreSolution, DenseTableau, LpBackend, LpSolver, LpStats,
-    LuBgSimplex, LuFtSimplex, LuSimplex, SparseRevised,
+    LuSimplex,
 };
 
-/// Test-facing introspection into the revised-simplex core. Not part of
-/// the stable API: the metamorphic suite (`tests/prop.rs`) uses it to
-/// assert that the Forrest–Tomlin and eta-file engines visit identical
-/// pivot sequences, which localizes any divergence to the basis-update
-/// algebra rather than the shared pricing loop.
+/// Bench-facing introspection into the revised-simplex core. Not part
+/// of the stable API.
 #[doc(hidden)]
 pub mod debug {
     use crate::csc::CscMatrix;
-    use crate::revised;
-    use crate::LpError;
-
-    /// Which basis engine a [`trace_pivots`] run drives.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TraceEngine {
-        /// Explicit dense inverse (the `sparse` backend's engine).
-        DenseInverse,
-        /// LU factors + product-form eta file (`lu`).
-        LuEta,
-        /// LU factors + Forrest–Tomlin spike swaps (`lu-ft`).
-        LuFt,
-        /// LU factors + Bartels–Golub interchanging updates (`lu-bg`).
-        LuBg,
-    }
-
-    /// Runs the cold two-phase revised simplex on an (already standard
-    /// form, `b ≥ 0`) system with the given engine, recording every
-    /// pivot as `(entering column, leaving slot)`.
-    ///
-    /// Returns the recorded pivot sequence alongside the outcome:
-    /// `Ok(Some(x))` on an optimum, `Ok(None)` when the feasibility
-    /// watchdog abandoned the run (no retry is attempted here — the
-    /// trace must reflect a single deterministic run).
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::Infeasible`], [`LpError::Unbounded`], or
-    /// [`LpError::PivotLimit`], with the partial trace attached.
-    #[allow(clippy::type_complexity)]
-    pub fn trace_pivots(
-        engine: TraceEngine,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        force_bland: bool,
-    ) -> (Result<Option<Vec<f64>>, LpError>, Vec<(usize, usize)>) {
-        let engine = match engine {
-            TraceEngine::DenseInverse => revised::TraceEngine::DenseInverse,
-            TraceEngine::LuEta => revised::TraceEngine::LuEta,
-            TraceEngine::LuFt => revised::TraceEngine::LuFt,
-            TraceEngine::LuBg => revised::TraceEngine::LuBg,
-        };
-        revised::trace_cold_pivots(engine, costs, a, b, force_bland)
-    }
 
     /// Bench hook: factorizes once, applies a fixed greedy chain of
     /// `updates` basis exchanges on `a` (no refactorization ever), then
     /// runs `solves` rounds of one sparse ftran + one dense btran —
-    /// measuring exactly the "ftran/btran work at equal refactorization
-    /// counts" the basis-update schemes compete on. The chain is
-    /// deterministic, so every engine replays the identical exchanges.
-    pub fn update_solve_cycle(
-        engine: TraceEngine,
-        a: &CscMatrix,
-        updates: usize,
-        solves: usize,
-    ) -> f64 {
-        match engine {
-            TraceEngine::DenseInverse => {
-                crate::revised::update_solve_cycle::<crate::revised::DenseInverse>(
-                    a, updates, solves,
-                )
-            }
-            TraceEngine::LuEta => {
-                crate::revised::update_solve_cycle::<crate::eta::LuBasis>(a, updates, solves)
-            }
-            TraceEngine::LuFt => {
-                crate::revised::update_solve_cycle::<crate::ft::FtBasis>(a, updates, solves)
-            }
-            TraceEngine::LuBg => {
-                crate::revised::update_solve_cycle::<crate::bg::BgBasis>(a, updates, solves)
-            }
-        }
+    /// measuring how the eta file's growth prices the solves the pivot
+    /// loop runs. The chain is deterministic.
+    pub fn update_solve_cycle(a: &CscMatrix, updates: usize, solves: usize) -> f64 {
+        crate::revised::update_solve_cycle(a, updates, solves)
     }
 }
 
@@ -312,8 +219,7 @@ pub fn clear_warm_start_cache() {
 /// optimal `x`.
 ///
 /// Compatibility shim: delegates to this thread's default [`LpSolver`]
-/// session (default backend policy, so the `dense-simplex` feature routes
-/// it through the dense tableau). New code should hold an explicit
+/// session (default backend policy). New code should hold an explicit
 /// session and call [`LpSolver::solve_standard`].
 ///
 /// # Errors

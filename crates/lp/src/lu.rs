@@ -19,7 +19,7 @@
 //!   never eligible, so the multipliers in `L` stay bounded by
 //!   `1 / PIVOT_REL_THRESHOLD` and the factorization cannot amplify a
 //!   well-conditioned basis into garbage (the failure mode of the
-//!   no-pivoting dense inverse on the degenerate walk3d systems).
+//!   unpivoted explicit inverse on the degenerate walk3d systems).
 //!
 //! The factors are stored column-wise as parallel index/value slices so
 //! the solves run on the [`qava_linalg::vecops`] gather/scatter kernels:
@@ -42,17 +42,15 @@ const PIVOT_REL_THRESHOLD: f64 = 0.1;
 /// entries are O(1) and an absolute tolerance is meaningful.
 const SINGULAR_TOL: f64 = 1e-11;
 
-/// One stored elimination column: parallel `(row, value)` slices. Shared
-/// with the Forrest–Tomlin engine ([`crate::ft`]), which stores its
-/// mutable U columns and row-spike etas in the same shape.
+/// One stored elimination column: parallel `(row, value)` slices.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SparseCol {
-    pub(crate) idx: Vec<usize>,
-    pub(crate) vals: Vec<f64>,
+struct SparseCol {
+    idx: Vec<usize>,
+    vals: Vec<f64>,
 }
 
 impl SparseCol {
-    pub(crate) fn from_entries(mut entries: Vec<(usize, f64)>) -> Self {
+    fn from_entries(mut entries: Vec<(usize, f64)>) -> Self {
         entries.sort_unstable_by_key(|&(i, _)| i);
         SparseCol {
             idx: entries.iter().map(|&(i, _)| i).collect(),
@@ -60,7 +58,7 @@ impl SparseCol {
         }
     }
 
-    pub(crate) fn nnz(&self) -> usize {
+    fn nnz(&self) -> usize {
         self.idx.len()
     }
 }
@@ -76,11 +74,11 @@ impl SparseCol {
 #[derive(Debug, Clone)]
 pub(crate) struct LuFactors {
     m: usize,
-    pub(crate) col_order: Vec<usize>,
-    pub(crate) pos_row: Vec<usize>,
+    col_order: Vec<usize>,
+    pos_row: Vec<usize>,
     l_cols: Vec<SparseCol>,
-    pub(crate) u_cols: Vec<SparseCol>,
-    pub(crate) diag: Vec<f64>,
+    u_cols: Vec<SparseCol>,
+    diag: Vec<f64>,
 }
 
 impl LuFactors {
@@ -221,12 +219,7 @@ impl LuFactors {
     /// Applies `L⁻¹` in place, `x` in **row** indexing: the elimination
     /// columns in order, skipping steps whose pivot entry is (still)
     /// zero — the sparse-rhs fast path for sparse entering columns.
-    ///
-    /// Exposed separately from [`ftran`](Self::ftran) because the
-    /// Forrest–Tomlin engine ([`crate::ft`]) keeps `L` frozen between
-    /// refactorizations while replacing the U solve with its own
-    /// spike-updated factors.
-    pub(crate) fn l_solve(&self, x: &mut [f64]) {
+    fn l_solve(&self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         for k in 0..self.m {
             let xk = x[self.pos_row[k]];
@@ -239,9 +232,8 @@ impl LuFactors {
     }
 
     /// Applies `L⁻ᵀ` in place, `x` in **row** indexing: the transposed
-    /// elimination columns in reverse order (gather form). The other
-    /// half of the frozen-L hook pair ([`l_solve`](Self::l_solve)).
-    pub(crate) fn lt_solve(&self, x: &mut [f64]) {
+    /// elimination columns in reverse order (gather form).
+    fn lt_solve(&self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         for k in (0..self.m).rev() {
             let lc = &self.l_cols[k];

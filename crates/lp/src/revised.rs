@@ -1,29 +1,19 @@
 //! Sparse revised simplex on equilibrated standard form — the core
-//! behind both the [`SparseRevised`](crate::SparseRevised) and the
-//! LU-backed [`LuSimplex`](crate::LuSimplex) backends.
+//! behind the [`LuSimplex`](crate::LuSimplex) backend.
 //!
 //! The dense tableau ([`crate::simplex`]) updates an `m × (n + m)`
 //! tableau on every pivot. The revised method keeps only a compact
 //! representation of the basis and reads the constraint matrix in CSC
-//! form ([`crate::csc::CscMatrix`]). *Which* representation is the
-//! [`BasisRepr`] abstraction:
+//! form ([`crate::csc::CscMatrix`]). The representation is
+//! [`LuBasis`] — sparse LU factors ([`crate::lu`]) plus a product-form
+//! eta file ([`crate::eta`]): O(nnz) per pivot, solves in O(nnz of the
+//! factors), refactorization driven by eta-count/fill-in/accuracy
+//! thresholds instead of a fixed period.
 //!
-//! * [`DenseInverse`] — the explicit `m × m` inverse with rank-one row
-//!   updates: O(m²) per pivot, one O(m³) inversion per refactorization.
-//!   Unbeatable constant factor on small bases; this is the `sparse`
-//!   backend.
-//! * [`LuBasis`](crate::eta::LuBasis) — sparse LU factors
-//!   ([`crate::lu`]) plus a product-form eta file ([`crate::eta`]):
-//!   O(nnz) per pivot, solves in O(nnz of the factors), refactorization
-//!   driven by eta-count/fill-in/accuracy thresholds instead of a fixed
-//!   period. This is the `lu` backend, and the representation of choice
-//!   for the large sparse Handelman/Farkas systems.
-//!
-//! The simplex logic itself — two-phase structure, Dantzig pricing with
-//! the sticky-Bland anti-cycling fallback, the minimum-ratio test, the
-//! feasibility watchdog — is generic over the representation, so both
-//! backends share one audited pivoting loop and the differential
-//! property tests exercise the exact code that ships.
+//! On top of the textbook method the loop carries Dantzig pricing with
+//! the sticky-Bland anti-cycling fallback, the minimum-ratio test with a
+//! healthy-pivot preference, the feasibility watchdog, and verdict
+//! certification from fresh factors (see [`Revised::run`]).
 //!
 //! Presolve, equilibration and the warm-start basis cache live in the
 //! [`LpSolver`](crate::LpSolver) session ([`crate::solver`]): this module
@@ -38,121 +28,19 @@
 //!
 //! The hot loops run on the unrolled [`qava_linalg::vecops`] kernels.
 
-use crate::bg::BgBasis;
 use crate::csc::CscMatrix;
 use crate::eta::LuBasis;
 use crate::faults::{self, Site};
-use crate::ft::FtBasis;
 use crate::simplex::MAX_PIVOTS;
 use crate::LpError;
-use qava_linalg::{vecops, Matrix, EPS};
+use qava_linalg::EPS;
 
 /// Bland-fallback patience, matching the dense path.
 const DEGENERACY_PATIENCE: usize = 40;
 
-/// A pluggable basis-inverse engine for the revised simplex.
-///
-/// Implementations maintain whatever stands in for `B⁻¹` — an explicit
-/// inverse, LU factors plus an eta file — and answer the four queries
-/// the simplex loop needs: forward transformation (`B⁻¹·a_j`), backward
-/// transformation (`c_Bᵀ·B⁻¹`), single rows of `B⁻¹`, and the rank-one
-/// basis-exchange update.
-pub(crate) trait BasisRepr {
-    /// The representation of the all-artificial identity basis (the
-    /// phase-1 starting point).
-    fn identity(m: usize) -> Self
-    where
-        Self: Sized;
-
-    /// Rebuilds the representation from scratch for the given basis
-    /// (artificial columns are `a.cols()..`, stored as unit columns).
-    /// Returns `false` — leaving the previous state untouched — when the
-    /// basis matrix is singular.
-    fn refactor(&mut self, a: &CscMatrix, n: usize, basis: &[usize]) -> bool;
-
-    /// `B⁻¹ · v` for a sparse column `v` given as parallel
-    /// `(indices, values)` slices.
-    fn ftran_col(&self, idx: &[usize], vals: &[f64]) -> Vec<f64>;
-
-    /// `B⁻¹ · rhs` for a dense right-hand side.
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64>;
-
-    /// `c_Bᵀ · B⁻¹` for a dense basic-cost vector.
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64>;
-
-    /// Row `i` of `B⁻¹` (equivalently `eᵢᵀ·B⁻¹`).
-    fn binv_row(&self, i: usize) -> Vec<f64>;
-
-    /// Applies the basis exchange: the variable at `row` leaves and the
-    /// column with ftran'd direction `u` enters. `support` lists the
-    /// indices `i` with `|u[i]| > EPS` in increasing order, so sparse
-    /// directions only touch their own rows.
-    ///
-    /// `col_idx`/`col_vals` are the entering column itself (sparse, row
-    /// indexed) — the hook the Forrest–Tomlin representation needs: its
-    /// column replacement works on the *partially* transformed spike
-    /// `E·L⁻¹·a`, which it derives from the raw column directly rather
-    /// than un-solving `u` back through U (a round trip that amplifies
-    /// error by the condition of U — enough, on the degenerate coupon
-    /// systems, to steer the shared pivot loop into a singular basis).
-    /// The dense-inverse and eta-file engines ignore it.
-    fn update(
-        &mut self,
-        row: usize,
-        u: &[f64],
-        support: &[usize],
-        col_idx: &[usize],
-        col_vals: &[f64],
-    );
-
-    /// Whether the accumulated updates warrant a refactorization now
-    /// (`iteration` is the simplex loop counter; the dense inverse uses
-    /// a fixed period, the LU/eta engine its own thresholds).
-    fn should_refactor(&self, iteration: usize) -> bool;
-
-    /// Whether an optimality verdict reached from incrementally-updated
-    /// state may be returned as-is, or must first be reproduced from a
-    /// fresh refactorization. The dense inverse trusts its rank-one
-    /// updates between the fixed-period refactorizations (the historical
-    /// behavior, bounded by the feasibility watchdog); the eta file does
-    /// not — its product-form updates can drift `x_B` and the pricing
-    /// multipliers past the optimality tolerance on ill-scaled systems,
-    /// silently corrupting the reported solution (see
-    /// `tests/drift_regression.rs`).
-    fn trusts_incremental_optimal(&self) -> bool;
-
-    /// Cumulative incremental-update stability accounting since the
-    /// engine was created. [`RunTelemetry::absorb`] polls it exactly
-    /// once per run state, and every run builds its engine fresh from
-    /// [`identity`](Self::identity), so engines report lifetime totals
-    /// and refactorizations must *not* reset them. Engines without
-    /// incremental stability accounting keep the all-zero default.
-    fn stability(&self) -> UpdateStability {
-        UpdateStability::default()
-    }
-}
-
-/// Stability counters of an incremental basis-update engine — the
-/// telemetry the Bartels–Golub/Forrest–Tomlin comparison runs on (see
-/// [`BasisRepr::stability`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct UpdateStability {
-    /// Updates whose determinant-identity cross-check disagreed with
-    /// the eliminated diagonal — each schedules a refactorization.
-    pub(crate) accuracy_refactors: usize,
-    /// Bartels–Golub row interchanges performed (0 for every other
-    /// engine).
-    pub(crate) interchanges: usize,
-    /// Max spike-pivot growth factor observed across updates: peak
-    /// chased-row magnitude over its magnitude on entry.
-    pub(crate) max_growth: f64,
-}
-
 /// Sparse entries of basis slot `bj`: the CSC column for real columns,
 /// the virtual unit column for artificials (`n..`). The one encoding of
-/// the artificial-column convention, shared by every
-/// [`BasisRepr::refactor`] implementation — backend parity depends on
-/// both representations assembling identical basis matrices.
+/// the artificial-column convention, used by [`LuBasis::refactor`].
 pub(crate) fn basis_col(a: &CscMatrix, n: usize, bj: usize) -> (Vec<usize>, Vec<f64>) {
     if bj < n {
         let (idx, vals) = a.col(bj);
@@ -162,112 +50,18 @@ pub(crate) fn basis_col(a: &CscMatrix, n: usize, bj: usize) -> (Vec<usize>, Vec<
     }
 }
 
-/// Refactorization cadence of [`DenseInverse`]: rebuilding `B⁻¹` from
-/// the basis every so many iterations bounds the error the rank-one
-/// updates accumulate.
-const REFACTOR_EVERY: usize = 64;
-
 /// Preferred minimum pivot element; see [`Revised::leaving`].
 const PIVOT_TOL: f64 = 1e-7;
-
-/// The explicit dense-inverse basis representation (the original
-/// revised-simplex engine, still the best fit for small/dense bases).
-pub(crate) struct DenseInverse {
-    binv: Matrix,
-    /// Reusable copy of the pivot row of `B⁻¹` so the rank-one update can
-    /// run as slice `axpy`s without aliasing the matrix.
-    pivot_row: Vec<f64>,
-}
-
-impl BasisRepr for DenseInverse {
-    fn identity(m: usize) -> Self {
-        DenseInverse { binv: Matrix::identity(m), pivot_row: vec![0.0; m] }
-    }
-
-    fn refactor(&mut self, a: &CscMatrix, n: usize, basis: &[usize]) -> bool {
-        let m = a.rows();
-        let mut bm = Matrix::zeros(m, m);
-        for (k, &j) in basis.iter().enumerate() {
-            let (idx, vals) = basis_col(a, n, j);
-            for (r, v) in idx.into_iter().zip(vals) {
-                bm[(r, k)] = v;
-            }
-        }
-        match bm.inverse() {
-            Some(inv) => {
-                self.binv = inv;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Computed row-wise — `u_i = Σ_r B⁻¹[i, r]·v_r` is a gather dot
-    /// against the `i`-th row of `B⁻¹` — so the row-major matrix is
-    /// walked contiguously and only the column's nonzeros are read.
-    fn ftran_col(&self, idx: &[usize], vals: &[f64]) -> Vec<f64> {
-        (0..self.binv.rows()).map(|i| vecops::gather_dot(idx, vals, self.binv.row(i))).collect()
-    }
-
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
-        self.binv.mul_vec(rhs)
-    }
-
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64> {
-        let m = self.binv.rows();
-        let mut y = vec![0.0; m];
-        for (i, &c) in cb.iter().enumerate() {
-            if c != 0.0 {
-                vecops::axpy(c, self.binv.row(i), &mut y);
-            }
-        }
-        y
-    }
-
-    fn binv_row(&self, i: usize) -> Vec<f64> {
-        self.binv.row(i).to_vec()
-    }
-
-    /// The `B⁻¹` rank-one update runs as one `axpy` per support row
-    /// against a snapshot of the scaled pivot row.
-    fn update(
-        &mut self,
-        row: usize,
-        u: &[f64],
-        support: &[usize],
-        _col_idx: &[usize],
-        _col_vals: &[f64],
-    ) {
-        let inv = 1.0 / u[row];
-        for v in self.binv.row_mut(row) {
-            *v *= inv;
-        }
-        self.pivot_row.copy_from_slice(self.binv.row(row));
-        for &i in support {
-            if i != row {
-                vecops::axpy(-u[i], &self.pivot_row, self.binv.row_mut(i));
-            }
-        }
-    }
-
-    fn should_refactor(&self, iteration: usize) -> bool {
-        iteration.is_multiple_of(REFACTOR_EVERY)
-    }
-
-    fn trusts_incremental_optimal(&self) -> bool {
-        true
-    }
-}
 
 /// The working state of a revised simplex run: basis, basis
 /// representation and current basic solution. Artificial columns are
 /// virtual unit columns `n ..= n + m - 1`.
-struct Revised<'a, R: BasisRepr> {
+struct Revised<'a> {
     a: &'a CscMatrix,
     n: usize,
     m: usize,
     basis: Vec<usize>,
-    repr: R,
+    repr: LuBasis,
     xb: Vec<f64>,
     /// `in_basis[j]` for real columns: basic columns are skipped by
     /// pricing. Their exact reduced cost is 0; pricing them anyway can
@@ -282,11 +76,6 @@ struct Revised<'a, R: BasisRepr> {
     wd_singular: usize,
     /// …or a refactorization exposed an infeasible (negative) `x_B`.
     wd_infeasible: usize,
-    /// When present, every pivot is recorded as `(entering column,
-    /// leaving slot)` — the metamorphic pivot-sequence tests compare the
-    /// FT and eta engines step by step through this. `None` on every
-    /// production path (one branch per pivot, no allocation).
-    trace: Option<Vec<(usize, usize)>>,
 }
 
 /// How a simplex phase ended (hard errors go through `Result`).
@@ -298,8 +87,8 @@ enum RunOutcome {
     LostFeasibility,
 }
 
-impl<'a, R: BasisRepr> Revised<'a, R> {
-    fn new(a: &'a CscMatrix, basis: Vec<usize>, repr: R, xb: Vec<f64>) -> Self {
+impl<'a> Revised<'a> {
+    fn new(a: &'a CscMatrix, basis: Vec<usize>, repr: LuBasis, xb: Vec<f64>) -> Self {
         let n = a.cols();
         let m = a.rows();
         let mut in_basis = vec![false; n];
@@ -319,7 +108,6 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
             pivots: 0,
             wd_singular: 0,
             wd_infeasible: 0,
-            trace: None,
         }
     }
 
@@ -345,16 +133,12 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
     }
 
     /// [`refactor`](Self::refactor) plus the feasibility watchdog:
-    /// `false` means this run must be abandoned — the (freshly
-    /// recomputed, or after a failed refactorization still-incremental)
+    /// `false` means this run must be abandoned — the freshly recomputed
     /// `x_B` is meaningfully negative, or the refactorization itself
-    /// failed on a representation that must not certify verdicts from
-    /// its incremental state. A representation that trusts its
-    /// incremental state proceeds on a failed refactorization with the
-    /// watchdog applied to the stale `x_B` (the historical
-    /// dense-inverse behavior).
+    /// failed, leaving only incremental state that must not certify a
+    /// verdict.
     fn refactor_checked(&mut self, b: &[f64], feas_tol: f64) -> bool {
-        if !self.refactor(b) && !self.repr.trusts_incremental_optimal() {
+        if !self.refactor(b) {
             self.wd_singular += 1;
             if std::env::var_os("QAVA_LP_DEBUG_WATCHDOG").is_some() {
                 eprintln!("watchdog: refactor failed (singular basis), pivots={}", self.pivots);
@@ -473,15 +257,11 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
     /// The nonzero support of `u` is computed once and shared by the
     /// `x_B` update and the representation update, so sparse entering
     /// directions only touch their own rows. Only real columns ever
-    /// enter (`entering` does not price artificials), so the entering
-    /// column's sparse data is always borrowable from `a`.
+    /// enter (`entering` does not price artificials).
     fn pivot(&mut self, row: usize, col: usize, u: &[f64]) {
         debug_assert!(u[row].abs() > EPS, "pivot on (near-)zero element");
         debug_assert!(col < self.n, "artificial columns never re-enter");
         self.pivots += 1;
-        if let Some(trace) = &mut self.trace {
-            trace.push((col, row));
-        }
         let leaving = self.basis[row];
         if leaving < self.n {
             self.in_basis[leaving] = false;
@@ -499,8 +279,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 }
             }
         }
-        let (col_idx, col_vals) = self.a.col(col);
-        self.repr.update(row, u, &support, col_idx, col_vals);
+        self.repr.update(row, u, &support);
         self.basis[row] = col;
     }
 
@@ -518,12 +297,13 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
     /// * **Verified termination** — an unbounded verdict reached from
     ///   incrementally-updated state is only trusted after a fresh
     ///   refactorization reproduces it (representation drift must never
-    ///   turn a bounded LP into an "unbounded" one), and representations
-    ///   that do not [trust their incremental
-    ///   state](BasisRepr::trusts_incremental_optimal) get the same
-    ///   treatment for optimality verdicts: the eta file's accumulated
+    ///   turn a bounded LP into an "unbounded" one), and optimality
+    ///   verdicts get the same treatment: the eta file's accumulated
     ///   error can mask improving columns and drift the reported `x_B`
-    ///   off `B⁻¹b` by far more than the optimality tolerance.
+    ///   off `B⁻¹b` by far more than the optimality tolerance (see
+    ///   `tests/drift_regression.rs`). The final refactorization also
+    ///   hands the session an exactly-consistent basis for the
+    ///   warm-start cache.
     /// * **Feasibility watchdog** — every refactorization recomputes
     ///   `x_B` exactly; if it has gone meaningfully negative the update
     ///   error has corrupted the trajectory, and the caller restarts the
@@ -543,7 +323,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
         let mut bland = force_bland;
         let mut just_refactored = fresh;
         for it in 0..MAX_PIVOTS {
-            if it > 0 && self.repr.should_refactor(it) && !just_refactored {
+            if it > 0 && self.repr.should_refactor() && !just_refactored {
                 // A mid-run refactorization is an error reset, not a
                 // correctness requirement: when the current (typically
                 // transient, degenerate) basis is numerically singular,
@@ -556,7 +336,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 // factorization before they are trusted. The watchdog
                 // applies either way, to the freshly recomputed `x_B`
                 // when the rebuild succeeded and to the stale one when
-                // it did not (the historical dense-inverse behavior).
+                // it did not.
                 let refreshed = self.refactor(b);
                 if !self.xb.iter().all(|&v| v >= -feas_tol) {
                     self.wd_infeasible += 1;
@@ -567,7 +347,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
             bland = bland || stalled >= DEGENERACY_PATIENCE;
             let y = self.multipliers(costs, art_cost);
             let Some(col) = self.entering(costs, &y, bland, EPS) else {
-                if just_refactored || self.repr.trusts_incremental_optimal() {
+                if just_refactored {
                     return Ok(RunOutcome::Optimal);
                 }
                 // Optimality seen from drifted state: re-derive the
@@ -589,9 +369,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 // threshold before considering an unbounded ray (the
                 // dense oracle does the same).
                 match self.entering(costs, &y, bland, 1e-6) {
-                    None if just_refactored || self.repr.trusts_incremental_optimal() => {
-                        return Ok(RunOutcome::Optimal)
-                    }
+                    None if just_refactored => return Ok(RunOutcome::Optimal),
                     None => {
                         // Same drifted-state rule as the strict-tolerance
                         // exit above: this is equally an optimality
@@ -665,10 +443,8 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
     /// verdict.
     ///
     /// The verdict rules mirror [`run`](Self::run): an optimality
-    /// verdict seen from incrementally-updated state is only trusted by
-    /// representations that
-    /// [trust it](BasisRepr::trusts_incremental_optimal); everyone else
-    /// re-derives it from a fresh factorization first. Anything the
+    /// verdict seen from incrementally-updated state is re-derived from
+    /// a fresh factorization before it is trusted. Anything the
     /// loop cannot handle — no eligible entering column (primal
     /// infeasible or numerically stuck), a dual-degenerate stall past
     /// the Bland patience, a singular refactorization, an injected
@@ -685,7 +461,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
             if faults::trip(Site::DualPivot) {
                 return DualOutcome::GiveUp;
             }
-            if it > 0 && self.repr.should_refactor(it) && !just_refactored {
+            if it > 0 && self.repr.should_refactor() && !just_refactored {
                 just_refactored = self.refactor(b);
             }
             // Leaving row: the most negative basic value. None ⇒ primal
@@ -699,7 +475,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 }
             }
             let Some(r) = leave else {
-                if !just_refactored && !self.repr.trusts_incremental_optimal() {
+                if !just_refactored {
                     // Same drifted-state rule as the primal loop: rebuild
                     // and let the fresh `x_B` re-derive the verdict.
                     if !self.refactor(b) {
@@ -794,12 +570,11 @@ pub(crate) struct CoreOutcome {
     /// The supplied warm basis was accepted and ran to optimality.
     pub warm_start_used: bool,
     /// Feasibility-watchdog refactor-backstop trips: a refactorization
-    /// found `x_B` meaningfully negative — or, on a representation that
-    /// must not certify verdicts from incremental state, failed outright
-    /// on a (numerically) singular basis — and the solve restarted from
-    /// scratch. Nonzero counts mean the incremental updates corrupted a
-    /// trajectory or conditioning collapsed — the symptoms the LU
-    /// representation exists to eliminate.
+    /// found `x_B` meaningfully negative — or failed outright on a
+    /// (numerically) singular basis, where incremental state must not
+    /// certify a verdict — and the solve restarted from scratch.
+    /// Nonzero counts mean the incremental updates corrupted a
+    /// trajectory or conditioning collapsed.
     pub watchdog_restarts: usize,
     /// Watchdog causes observed across every attempted run (including
     /// abandoned warm starts): singular refactorizations…
@@ -809,14 +584,6 @@ pub(crate) struct CoreOutcome {
     /// Cold re-solves forced into all-Bland mode (after a Dantzig
     /// pivot-limit grind or a watchdog trip).
     pub bland_retries: usize,
-    /// Accuracy-triggered refactorization flags across all attempts
-    /// (the FT/BG determinant-identity cross-check disagreeing with the
-    /// eliminated diagonal; see [`UpdateStability`]).
-    pub accuracy_refactors: usize,
-    /// Bartels–Golub row interchanges across all attempts.
-    pub bg_interchanges: usize,
-    /// Max spike-pivot growth factor observed across all attempts.
-    pub bg_max_growth: f64,
 }
 
 /// Counters a [`Revised`] run leaves behind, accumulated across the
@@ -827,110 +594,15 @@ struct RunTelemetry {
     pivots: usize,
     wd_singular: usize,
     wd_infeasible: usize,
-    accuracy_refactors: usize,
-    bg_interchanges: usize,
-    bg_max_growth: f64,
 }
 
 impl RunTelemetry {
-    /// Folds a finished (or abandoned) run's counters in. The engine's
-    /// stability counters are lifetime totals of that engine, and every
-    /// attempt builds a fresh engine, so summing here never
-    /// double-counts.
-    fn absorb<R: BasisRepr>(&mut self, state: &Revised<'_, R>) {
+    /// Folds a finished (or abandoned) run's counters in.
+    fn absorb(&mut self, state: &Revised<'_>) {
         self.pivots += state.pivots;
         self.wd_singular += state.wd_singular;
         self.wd_infeasible += state.wd_infeasible;
-        let stab = state.repr.stability();
-        self.accuracy_refactors += stab.accuracy_refactors;
-        self.bg_interchanges += stab.interchanges;
-        self.bg_max_growth = self.bg_max_growth.max(stab.max_growth);
     }
-}
-
-/// Two-phase (or warm-started) revised simplex on an equilibrated
-/// system, using the dense-inverse basis engine (the `sparse` backend).
-pub(crate) fn solve_equilibrated(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    warm: Option<&[usize]>,
-) -> Result<CoreOutcome, LpError> {
-    solve_equilibrated_with::<DenseInverse>(costs, a, b, warm)
-}
-
-/// Two-phase (or warm-started) revised simplex using the LU + eta-file
-/// basis engine (the `lu` backend).
-pub(crate) fn solve_equilibrated_lu(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    warm: Option<&[usize]>,
-) -> Result<CoreOutcome, LpError> {
-    solve_equilibrated_with::<LuBasis>(costs, a, b, warm)
-}
-
-/// Two-phase (or warm-started) revised simplex using the LU +
-/// Forrest–Tomlin basis engine (the `lu-ft` backend).
-pub(crate) fn solve_equilibrated_lu_ft(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    warm: Option<&[usize]>,
-) -> Result<CoreOutcome, LpError> {
-    solve_equilibrated_with::<FtBasis>(costs, a, b, warm)
-}
-
-/// Two-phase (or warm-started) revised simplex using the LU +
-/// Bartels–Golub basis engine (the `lu-bg` backend).
-pub(crate) fn solve_equilibrated_lu_bg(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    warm: Option<&[usize]>,
-) -> Result<CoreOutcome, LpError> {
-    solve_equilibrated_with::<BgBasis>(costs, a, b, warm)
-}
-
-/// Dual-simplex reoptimization from a previous optimal basis, using the
-/// dense-inverse engine (the `sparse` backend).
-pub(crate) fn dual_reoptimize(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<DenseInverse>(costs, a, b, basis)
-}
-
-/// Dual-simplex reoptimization using the LU + eta-file engine.
-pub(crate) fn dual_reoptimize_lu(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<LuBasis>(costs, a, b, basis)
-}
-
-/// Dual-simplex reoptimization using the LU + Forrest–Tomlin engine.
-pub(crate) fn dual_reoptimize_lu_ft(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<FtBasis>(costs, a, b, basis)
-}
-
-/// Dual-simplex reoptimization using the LU + Bartels–Golub engine.
-pub(crate) fn dual_reoptimize_lu_bg(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<BgBasis>(costs, a, b, basis)
 }
 
 /// Reoptimizes an equilibrated system from a previous point's optimal
@@ -942,7 +614,7 @@ pub(crate) fn dual_reoptimize_lu_bg(
 /// singular or stale basis, lost dual feasibility, or any mid-flight
 /// numerical doubt all land there, so this path is a pure fast-path and
 /// never an alternative source of verdicts.
-fn dual_reoptimize_with<R: BasisRepr>(
+pub(crate) fn dual_reoptimize(
     costs: &[f64],
     a: &CscMatrix,
     b: &[f64],
@@ -953,7 +625,7 @@ fn dual_reoptimize_with<R: BasisRepr>(
     if m == 0 || basis.len() != m || basis.iter().any(|&j| j >= n) {
         return None;
     }
-    let mut repr = R::identity(m);
+    let mut repr = LuBasis::identity(m);
     if !repr.refactor(a, n, basis) {
         return None;
     }
@@ -967,63 +639,17 @@ fn dual_reoptimize_with<R: BasisRepr>(
         return None;
     }
     match state.run_dual(costs, b) {
-        DualOutcome::Optimal => {
-            let stab = state.repr.stability();
-            Some(CoreOutcome {
-                x: state.solution(),
-                basis: state.basis,
-                pivots: state.pivots,
-                warm_start_used: true,
-                watchdog_restarts: 0,
-                watchdog_singular: state.wd_singular,
-                watchdog_infeasible: state.wd_infeasible,
-                bland_retries: 0,
-                accuracy_refactors: stab.accuracy_refactors,
-                bg_interchanges: stab.interchanges,
-                bg_max_growth: stab.max_growth,
-            })
-        }
+        DualOutcome::Optimal => Some(CoreOutcome {
+            x: state.solution(),
+            basis: state.basis,
+            pivots: state.pivots,
+            warm_start_used: true,
+            watchdog_restarts: 0,
+            watchdog_singular: state.wd_singular,
+            watchdog_infeasible: state.wd_infeasible,
+            bland_retries: 0,
+        }),
         DualOutcome::GiveUp => None,
-    }
-}
-
-/// Which basis engine a [`trace_cold_pivots`] run drives — the
-/// test-facing selector behind [`crate::debug::trace_pivots`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TraceEngine {
-    /// Explicit dense inverse (`sparse` backend).
-    DenseInverse,
-    /// LU + product-form eta file (`lu` backend).
-    LuEta,
-    /// LU + Forrest–Tomlin spike swaps (`lu-ft` backend).
-    LuFt,
-    /// LU + Bartels–Golub interchanging elimination (`lu-bg` backend).
-    LuBg,
-}
-
-/// Result of a traced run: the outcome (`Ok(Some(x))` optimal,
-/// `Ok(None)` watchdog-abandoned) plus the recorded
-/// `(entering column, leaving slot)` pivot sequence.
-pub(crate) type TraceOutcome = (Result<Option<Vec<f64>>, LpError>, Vec<(usize, usize)>);
-
-/// Debug/test-only cold two-phase solve that records every pivot as
-/// `(entering column, leaving slot)`. The metamorphic suite runs the eta
-/// and FT engines through this side by side: with Bland's rule both
-/// engines must visit the **identical** pivot sequence on deterministic
-/// instances, so any divergence localizes a bug to the basis-update
-/// algebra rather than the shared pricing loop.
-pub(crate) fn trace_cold_pivots(
-    engine: TraceEngine,
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    force_bland: bool,
-) -> TraceOutcome {
-    match engine {
-        TraceEngine::DenseInverse => trace_cold_with::<DenseInverse>(costs, a, b, force_bland),
-        TraceEngine::LuEta => trace_cold_with::<LuBasis>(costs, a, b, force_bland),
-        TraceEngine::LuFt => trace_cold_with::<FtBasis>(costs, a, b, force_bland),
-        TraceEngine::LuBg => trace_cold_with::<BgBasis>(costs, a, b, force_bland),
     }
 }
 
@@ -1034,18 +660,12 @@ pub(crate) fn trace_cold_pivots(
 /// slots are revisited the way degenerate εmax runs revisit them), then
 /// `solves` rounds of one sparse-column ftran plus one dense btran —
 /// the pivot loop's solve mix — with **zero** refactorizations
-/// throughout. Both LU engines run the identical chain, which is what
-/// "ftran/btran work at equal refactorization counts" means
-/// operationally. Returns a checksum so the optimizer cannot elide the
-/// solves.
-pub(crate) fn update_solve_cycle<R: BasisRepr>(
-    a: &CscMatrix,
-    updates: usize,
-    solves: usize,
-) -> f64 {
+/// throughout, so the measured cost is the eta file's growth alone.
+/// Returns a checksum so the optimizer cannot elide the solves.
+pub(crate) fn update_solve_cycle(a: &CscMatrix, updates: usize, solves: usize) -> f64 {
     let m = a.rows();
     let n = a.cols();
-    let mut repr = R::identity(m);
+    let mut repr = LuBasis::identity(m);
     let mut basis: Vec<usize> = (n..n + m).collect();
     let mut done = 0usize;
     let mut rng = 0x9E3779B97F4A7C15u64;
@@ -1071,7 +691,7 @@ pub(crate) fn update_solve_cycle<R: BasisRepr>(
             continue;
         };
         let support: Vec<usize> = (0..m).filter(|&i| u[i].abs() > EPS).collect();
-        repr.update(slot, &u, &support, idx, vals);
+        repr.update(slot, &u, &support);
         basis[slot] = col;
         done += 1;
     }
@@ -1092,19 +712,9 @@ pub(crate) fn update_solve_cycle<R: BasisRepr>(
     checksum
 }
 
-fn trace_cold_with<R: BasisRepr>(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    force_bland: bool,
-) -> TraceOutcome {
-    let mut tele = RunTelemetry::default();
-    let mut trace = Vec::new();
-    let out = cold_two_phase_traced::<R>(costs, a, b, force_bland, &mut tele, Some(&mut trace));
-    (out.map(|r| r.map(|(x, _)| x)), trace)
-}
-
-fn solve_equilibrated_with<R: BasisRepr>(
+/// Two-phase (or warm-started) revised simplex on an equilibrated
+/// system.
+pub(crate) fn solve_equilibrated(
     costs: &[f64],
     a: &CscMatrix,
     b: &[f64],
@@ -1128,9 +738,6 @@ fn solve_equilibrated_with<R: BasisRepr>(
         watchdog_singular: tele.wd_singular,
         watchdog_infeasible: tele.wd_infeasible,
         bland_retries,
-        accuracy_refactors: tele.accuracy_refactors,
-        bg_interchanges: tele.bg_interchanges,
-        bg_max_growth: tele.bg_max_growth,
     };
     if m == 0 {
         return if costs.iter().any(|&c| c < -EPS) {
@@ -1149,7 +756,7 @@ fn solve_equilibrated_with<R: BasisRepr>(
     // Unbounded is a verified verdict and is returned.)
     if let Some(basis) = warm {
         if basis.len() == m && basis.iter().all(|&j| j < n) {
-            let mut repr = R::identity(m);
+            let mut repr = LuBasis::identity(m);
             if repr.refactor(a, n, basis) {
                 let xb = repr.ftran_dense(b);
                 if xb.iter().all(|&v| v >= -1e-9) {
@@ -1182,7 +789,7 @@ fn solve_equilibrated_with<R: BasisRepr>(
     // attempt ground into the pivot limit: the pathological walk3d-style
     // LPs can cycle for tens of thousands of degenerate pivots under
     // Dantzig pricing, while Bland's rule terminates by construction.
-    match cold_two_phase::<R>(costs, a, b, false, &mut tele) {
+    match cold_two_phase(costs, a, b, false, &mut tele) {
         Ok(Some((x, basis))) => {
             return Ok(outcome(tele, watchdog_restarts, x, basis, false, 0))
         }
@@ -1190,7 +797,7 @@ fn solve_equilibrated_with<R: BasisRepr>(
         Err(LpError::PivotLimit) => {}
         Err(e) => return Err(e),
     }
-    match cold_two_phase::<R>(costs, a, b, true, &mut tele)? {
+    match cold_two_phase(costs, a, b, true, &mut tele)? {
         Some((x, basis)) => Ok(outcome(tele, watchdog_restarts, x, basis, false, 1)),
         None => Err(LpError::PivotLimit),
     }
@@ -1199,59 +806,33 @@ fn solve_equilibrated_with<R: BasisRepr>(
 /// Textbook two-phase solve. `Ok(None)` means the feasibility watchdog
 /// fired and the caller should retry more conservatively.
 #[allow(clippy::type_complexity)]
-fn cold_two_phase<R: BasisRepr>(
+fn cold_two_phase(
     costs: &[f64],
     a: &CscMatrix,
     b: &[f64],
     force_bland: bool,
     tele: &mut RunTelemetry,
-) -> Result<Option<(Vec<f64>, Vec<usize>)>, LpError> {
-    cold_two_phase_traced::<R>(costs, a, b, force_bland, tele, None)
-}
-
-/// [`cold_two_phase`] with an optional pivot trace (see
-/// [`trace_cold_pivots`]); the production paths pass `None`.
-#[allow(clippy::type_complexity)]
-fn cold_two_phase_traced<R: BasisRepr>(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    force_bland: bool,
-    tele: &mut RunTelemetry,
-    trace: Option<&mut Vec<(usize, usize)>>,
 ) -> Result<Option<(Vec<f64>, Vec<usize>)>, LpError> {
     let m = a.rows();
     let n = a.cols();
 
     // ---- Phase 1: artificial identity basis, minimize their sum. ----
-    let mut state = Revised::new(a, (n..n + m).collect(), R::identity(m), b.to_vec());
-    if trace.is_some() {
-        state.trace = Some(Vec::new());
-    }
+    let mut state = Revised::new(a, (n..n + m).collect(), LuBasis::identity(m), b.to_vec());
     let phase1_costs = vec![0.0; n];
     let phase1 = match state.run(&phase1_costs, 1.0, b, force_bland, true) {
         Ok(outcome) => outcome,
         Err(e) => {
             tele.absorb(&state);
-            if let Some(t) = trace {
-                *t = state.trace.take().unwrap_or_default();
-            }
             return Err(e);
         }
     };
     if phase1 == RunOutcome::LostFeasibility {
         tele.absorb(&state);
-        if let Some(t) = trace {
-            *t = state.trace.take().unwrap_or_default();
-        }
         return Ok(None);
     }
     let b_norm = b.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
     if state.objective(&phase1_costs, 1.0) > 1e-7 * (1.0 + b_norm) {
         tele.absorb(&state);
-        if let Some(t) = trace {
-            *t = state.trace.take().unwrap_or_default();
-        }
         return Err(LpError::Infeasible);
     }
 
@@ -1273,9 +854,6 @@ fn cold_two_phase_traced<R: BasisRepr>(
     // only prices real columns. ----
     let phase2 = state.run(costs, 0.0, b, force_bland, false);
     tele.absorb(&state);
-    if let Some(t) = trace {
-        *t = state.trace.take().unwrap_or_default();
-    }
     if phase2? == RunOutcome::LostFeasibility {
         return Ok(None);
     }
@@ -1287,10 +865,6 @@ mod tests {
     use crate::presolve::StdRows;
     use crate::{BackendChoice, LpError, LpSolver};
 
-    /// The four revised-simplex backends every core test runs through.
-    const REVISED_BACKENDS: [BackendChoice; 4] =
-        [BackendChoice::Sparse, BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg];
-
     fn rows_of(dense: Vec<Vec<f64>>) -> Vec<Vec<(usize, f64)>> {
         dense
             .into_iter()
@@ -1298,68 +872,53 @@ mod tests {
             .collect()
     }
 
-    fn solve_std_rows(choice: BackendChoice, lp: StdRows) -> Result<Vec<f64>, LpError> {
-        LpSolver::with_choice(choice).solve_std_rows(lp)
+    /// One fresh session pinned to the revised-simplex (`lu`) backend.
+    fn solve_std_rows(lp: StdRows) -> Result<Vec<f64>, LpError> {
+        LpSolver::with_choice(BackendChoice::Lu).solve_std_rows(lp)
     }
 
-    fn solve(
-        choice: BackendChoice,
-        costs: Vec<f64>,
-        rows: Vec<Vec<f64>>,
-        b: Vec<f64>,
-    ) -> Result<Vec<f64>, LpError> {
+    fn solve(costs: Vec<f64>, rows: Vec<Vec<f64>>, b: Vec<f64>) -> Result<Vec<f64>, LpError> {
         let ncols = costs.len();
-        solve_std_rows(choice, StdRows { costs, rows: rows_of(rows), b, ncols })
+        solve_std_rows(StdRows { costs, rows: rows_of(rows), b, ncols })
     }
 
     #[test]
     fn matches_dense_on_textbook_lp() {
-        for choice in REVISED_BACKENDS {
-            // min −x1 − x2 s.t. x1 + x2 + s = 1.
-            let x = solve(choice, vec![-1.0, -1.0, 0.0], vec![vec![1.0, 1.0, 1.0]], vec![1.0])
-                .unwrap();
-            assert!((x[0] + x[1] - 1.0).abs() < 1e-9, "{choice}");
-        }
+        // min −x1 − x2 s.t. x1 + x2 + s = 1.
+        let x = solve(vec![-1.0, -1.0, 0.0], vec![vec![1.0, 1.0, 1.0]], vec![1.0]).unwrap();
+        assert!((x[0] + x[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn infeasible_and_unbounded() {
-        for choice in REVISED_BACKENDS {
-            // x0 = 1 and x0 = 2 (after pattern dedup: conflicting duplicates).
-            let r = solve(choice, vec![0.0], vec![vec![1.0], vec![1.0]], vec![1.0, 2.0]);
-            assert_eq!(r.unwrap_err(), LpError::Infeasible, "{choice}");
-            // min −x with no constraints on x.
-            let r = solve(choice, vec![-1.0], vec![], vec![]);
-            assert_eq!(r.unwrap_err(), LpError::Unbounded, "{choice}");
-        }
+        // x0 = 1 and x0 = 2 (after pattern dedup: conflicting duplicates).
+        let r = solve(vec![0.0], vec![vec![1.0], vec![1.0]], vec![1.0, 2.0]);
+        assert_eq!(r.unwrap_err(), LpError::Infeasible);
+        // min −x with no constraints on x.
+        let r = solve(vec![-1.0], vec![], vec![]);
+        assert_eq!(r.unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
     fn warm_start_reuses_basis() {
         // Same pattern solved twice with nearby numbers in ONE session;
         // the second solve must produce the same optimum through the warm
-        // path, and the session must record the cache hit — for both
-        // warm-capable backends.
-        for choice in REVISED_BACKENDS {
-            let mut solver = LpSolver::with_choice(choice);
-            for rhs in [1.0, 1.1] {
-                let x = solver
-                    .solve_std_rows(StdRows {
-                        costs: vec![-1.0, -2.0, 0.0, 0.0],
-                        rows: rows_of(vec![vec![1.0, 1.0, 1.0, 0.0], vec![1.0, -1.0, 0.0, 1.0]]),
-                        b: vec![rhs, 0.5],
-                        ncols: 4,
-                    })
-                    .unwrap();
-                let obj = -x[0] - 2.0 * x[1];
-                let expect = -2.0 * rhs;
-                assert!(
-                    (obj - expect).abs() < 1e-7,
-                    "{choice} rhs {rhs}: got {obj}, want {expect}"
-                );
-            }
-            assert_eq!(solver.stats().warm_start_hits, 1, "{choice}: second solve warm-starts");
+        // path, and the session must record the cache hit.
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+        for rhs in [1.0, 1.1] {
+            let x = solver
+                .solve_std_rows(StdRows {
+                    costs: vec![-1.0, -2.0, 0.0, 0.0],
+                    rows: rows_of(vec![vec![1.0, 1.0, 1.0, 0.0], vec![1.0, -1.0, 0.0, 1.0]]),
+                    b: vec![rhs, 0.5],
+                    ncols: 4,
+                })
+                .unwrap();
+            let obj = -x[0] - 2.0 * x[1];
+            let expect = -2.0 * rhs;
+            assert!((obj - expect).abs() < 1e-7, "rhs {rhs}: got {obj}, want {expect}");
         }
+        assert_eq!(solver.stats().warm_start_hits, 1, "second solve warm-starts");
     }
 
     #[test]
@@ -1378,28 +937,16 @@ mod tests {
             vec![(0, -1.0), (1, 1.0), (28, -1.0), (29, 1.0), (30, -1.0), (31, -1.0), (32, 1.0), (33, -1.0)],
             vec![(0, 1.0), (1, -1.0), (2, 1.0), (3, -1.0), (4, 1.0), (5, -1.0), (34, 1.0)],
         ];
-        for choice in REVISED_BACKENDS {
-            let r = solve_std_rows(
-                choice,
-                StdRows { costs: costs.clone(), rows: rows.clone(), b: b.clone(), ncols: 35 },
-            );
-            assert!(r.is_ok(), "{choice}: got {r:?}");
-        }
+        let r = solve_std_rows(StdRows { costs, rows, b, ncols: 35 });
+        assert!(r.is_ok(), "got {r:?}");
     }
 
     #[test]
     fn redundant_zero_row_survives() {
-        for choice in REVISED_BACKENDS {
-            // Duplicate rows are presolved away; the optimum is unchanged.
-            let x = solve(
-                choice,
-                vec![1.0, 0.0],
-                vec![vec![1.0, 1.0], vec![2.0, 2.0]],
-                vec![1.0, 2.0],
-            )
+        // Duplicate rows are presolved away; the optimum is unchanged.
+        let x = solve(vec![1.0, 0.0], vec![vec![1.0, 1.0], vec![2.0, 2.0]], vec![1.0, 2.0])
             .unwrap();
-            assert!((x[0] + x[1] - 1.0).abs() < 1e-9, "{choice}");
-            assert!(x[0].abs() < 1e-9, "{choice}");
-        }
+        assert!((x[0] + x[1] - 1.0).abs() < 1e-9);
+        assert!(x[0].abs() < 1e-9);
     }
 }

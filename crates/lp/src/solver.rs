@@ -10,9 +10,8 @@
 //!   receives a **presolved, equilibrated** standard-form system
 //!   `min cᵀx, A·x = b, x ≥ 0` (`b ≥ 0`) in CSC form plus an optional
 //!   warm-start basis, and reports the solution, the final basis (when it
-//!   supports warm starts) and the pivots it spent. [`SparseRevised`],
-//!   [`DenseTableau`] and [`LuSimplex`] are the built-in implementations;
-//!   external backends (interior point, …) implement the same trait and
+//!   supports warm starts) and the pivots it spent. [`DenseTableau`] and
+//!   [`LuSimplex`] are the built-in implementations; external backends (interior point, …) implement the same trait and
 //!   are attached with [`LpSolver::register_backend`].
 //! * [`LpSolver`] is the per-synthesis **session**: it owns the shared
 //!   pipeline (presolve → equilibration → warm-start lookup → backend →
@@ -27,7 +26,7 @@
 //! Sessions additionally support **dual-simplex reoptimization**
 //! ([`LpSolver::reoptimize`] / [`LpSolver::set_reoptimize`]): when a
 //! solve's reduced sparsity pattern has a cached final basis, the
-//! revised-simplex backends refactorize it once and run dual pivots back
+//! revised-simplex backend refactorizes it once and run dual pivots back
 //! to primal feasibility instead of a cold two-phase solve — the
 //! parametric-sweep fast path, with unchanged verdict certification and
 //! an unconditional cold fallback on any doubt.
@@ -41,21 +40,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Row/column cutovers below which [`BackendChoice::Auto`] prefers the
-/// dense tableau: the sparse pipeline's fixed costs (pattern hashing,
-/// basis refactorization) dominate on the µs-scale models that
+/// Row/column cutovers at or below which [`BackendChoice::Auto`] prefers
+/// the dense tableau: the sparse pipeline's fixed costs (pattern
+/// hashing, basis factorization) dominate on the µs-scale models that
 /// polyhedron emptiness probes produce, where the dense tableau's
 /// constant factor wins. Measured on the reduced (post-presolve) system.
 const DENSE_CUTOVER_ROWS: usize = 16;
 const DENSE_CUTOVER_COLS: usize = 96;
-
-/// Cutovers above which [`BackendChoice::Auto`] routes to the LU-backed
-/// simplex: the eta-file update is O(nnz) against the dense inverse's
-/// O(m²) per pivot, but the LU solves only pay off once the basis is
-/// both big enough and sparse enough that the factors stay compact.
-/// Density is `nnz(A) / (m·n)` of the reduced system.
-const LU_CUTOVER_ROWS: usize = 64;
-const LU_MAX_DENSITY: f64 = 0.25;
 
 /// Default capacity of the session's warm-start basis cache.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
@@ -87,15 +78,6 @@ pub struct CoreSolution {
     pub watchdog_infeasible: usize,
     /// Cold re-solves forced into all-Bland mode (anti-cycling retries).
     pub bland_retries: usize,
-    /// Accuracy-triggered refactorization flags: FT/BG updates whose
-    /// determinant-identity cross-check disagreed with the eliminated
-    /// diagonal. Always 0 for backends without that cross-check.
-    pub accuracy_refactors: usize,
-    /// Bartels–Golub row interchanges performed (`lu-bg` only).
-    pub bg_interchanges: usize,
-    /// Max spike-pivot growth factor observed across updates (`lu-bg`
-    /// only; 0 when no update measured one).
-    pub bg_max_growth: f64,
 }
 
 /// A pluggable LP core solver.
@@ -161,14 +143,19 @@ pub trait LpBackend {
     }
 }
 
-/// The sparse revised simplex backend (CSC pricing, `B⁻¹` updates,
-/// warm-startable; see [`crate::revised`]).
+/// The LU-backed revised simplex backend (see [`crate::revised`]): CSC
+/// pricing over a basis held as Markowitz-ordered sparse LU factors
+/// ([`crate::lu`]) plus a product-form eta file ([`crate::eta`]) —
+/// O(nnz) per pivot, with refactorization driven by
+/// eta-count/fill-in/accuracy thresholds. Warm-startable and
+/// dual-reoptimizable; [`BackendChoice::Auto`] routes every system above
+/// the dense cutover here.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SparseRevised;
+pub struct LuSimplex;
 
-impl LpBackend for SparseRevised {
+impl LpBackend for LuSimplex {
     fn name(&self) -> &'static str {
-        "sparse"
+        "lu"
     }
 
     fn supports_warm_start(&self) -> bool {
@@ -200,150 +187,9 @@ impl LpBackend for SparseRevised {
     }
 }
 
-/// The LU-backed revised simplex backend: the same pivoting loop as
-/// [`SparseRevised`], but the basis lives as Markowitz-ordered sparse LU
-/// factors ([`crate::lu`]) plus a product-form eta file ([`crate::eta`])
-/// instead of an explicit `m × m` inverse — O(nnz) per pivot instead of
-/// O(m²), with refactorization driven by eta-count/fill-in/accuracy
-/// thresholds. The representation of choice for the large sparse
-/// Handelman/Farkas LPs, and the conditioning fix for the degenerate
-/// walk3d-style systems that trip the dense path's feasibility watchdog.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LuSimplex;
-
-impl LpBackend for LuSimplex {
-    fn name(&self) -> &'static str {
-        "lu"
-    }
-
-    fn supports_warm_start(&self) -> bool {
-        true
-    }
-
-    fn solve_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        warm: Option<&[usize]>,
-    ) -> Result<CoreSolution, LpError> {
-        revised::solve_equilibrated_lu(costs, a, b, warm).map(CoreSolution::from)
-    }
-
-    fn supports_reoptimize(&self) -> bool {
-        true
-    }
-
-    fn reoptimize_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize_lu(costs, a, b, basis).map(CoreSolution::from)
-    }
-}
-
-/// The LU + Forrest–Tomlin revised simplex backend: the same pivoting
-/// loop and Markowitz-ordered factorization as [`LuSimplex`], but basis
-/// exchanges are absorbed **into the U factor** as spike swaps
-/// ([`crate::ft`]) instead of appended to a product-form eta file — so
-/// ftran/btran stay O(nnz(L) + nnz(U)) between refactorizations with no
-/// eta stack to traverse, and refactorization is driven by U fill-in
-/// growth and spike-pivot magnitude. The engine of choice for the
-/// longest pivot runs (the large degenerate Handelman/εmax systems);
-/// the eta-file `lu` backend remains available so the update schemes
-/// can be differentially raced.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LuFtSimplex;
-
-impl LpBackend for LuFtSimplex {
-    fn name(&self) -> &'static str {
-        "lu-ft"
-    }
-
-    fn supports_warm_start(&self) -> bool {
-        true
-    }
-
-    fn solve_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        warm: Option<&[usize]>,
-    ) -> Result<CoreSolution, LpError> {
-        revised::solve_equilibrated_lu_ft(costs, a, b, warm).map(CoreSolution::from)
-    }
-
-    fn supports_reoptimize(&self) -> bool {
-        true
-    }
-
-    fn reoptimize_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize_lu_ft(costs, a, b, basis).map(CoreSolution::from)
-    }
-}
-
-/// The LU revised simplex with **Bartels–Golub** basis updates: basis
-/// exchanges are absorbed into U like [`LuFtSimplex`], but the spike is
-/// eliminated with row interchanges ([`crate::bg`]) — at each
-/// elimination step the larger of the diagonal and the spike-row entry
-/// pivots, so every multiplier is bounded by 1 and a tiny spike pivot
-/// swaps out of the way instead of amplifying rounding error. The price
-/// is extra row-eta fill (eager elimination instead of FT's single lazy
-/// row eta), which the shared fill-growth refactorization trigger
-/// bounds. Stability accounting (interchange count, max spike-pivot
-/// growth, accuracy-triggered refactorizations) is threaded into
-/// [`LpStats`] so the scheme can be compared against `lu-ft` in the
-/// suite footer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LuBgSimplex;
-
-impl LpBackend for LuBgSimplex {
-    fn name(&self) -> &'static str {
-        "lu-bg"
-    }
-
-    fn supports_warm_start(&self) -> bool {
-        true
-    }
-
-    fn solve_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        warm: Option<&[usize]>,
-    ) -> Result<CoreSolution, LpError> {
-        revised::solve_equilibrated_lu_bg(costs, a, b, warm).map(CoreSolution::from)
-    }
-
-    fn supports_reoptimize(&self) -> bool {
-        true
-    }
-
-    fn reoptimize_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize_lu_bg(costs, a, b, basis).map(CoreSolution::from)
-    }
-}
-
 impl From<revised::CoreOutcome> for CoreSolution {
-    /// The one field mapping from the shared revised-simplex core to the
-    /// backend interface, used by both warm-capable backends.
+    /// The one field mapping from the revised-simplex core to the
+    /// backend interface.
     fn from(out: revised::CoreOutcome) -> Self {
         CoreSolution {
             x: out.x,
@@ -354,9 +200,6 @@ impl From<revised::CoreOutcome> for CoreSolution {
             watchdog_singular: out.watchdog_singular,
             watchdog_infeasible: out.watchdog_infeasible,
             bland_retries: out.bland_retries,
-            accuracy_refactors: out.accuracy_refactors,
-            bg_interchanges: out.bg_interchanges,
-            bg_max_growth: out.bg_max_growth,
         }
     }
 }
@@ -391,9 +234,6 @@ impl LpBackend for DenseTableau {
             watchdog_singular: 0,
             watchdog_infeasible: 0,
             bland_retries: 0,
-            accuracy_refactors: 0,
-            bg_interchanges: 0,
-            bg_max_growth: 0.0,
         })
     }
 }
@@ -401,27 +241,15 @@ impl LpBackend for DenseTableau {
 /// Backend selection policy of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
-    /// Hybrid dispatch by size **and** density of the reduced system:
-    /// tiny models (≤ 16 rows, ≤ 96 columns) take the dense tableau,
-    /// large sparse ones (≥ 64 rows at ≤ 25% density) the
-    /// Forrest–Tomlin LU simplex (the classes with the longest pivot
-    /// runs, where the eta-free solves pay off most), everything in
-    /// between the dense-inverse sparse revised simplex. This is the
-    /// default unless the crate is built with the `dense-simplex`
-    /// feature, which flips the default to [`BackendChoice::Dense`].
-    #[cfg_attr(not(feature = "dense-simplex"), default)]
+    /// Dispatch by size of the reduced system: tiny models (≤ 16 rows
+    /// and ≤ 96 columns) take the dense tableau, everything else the LU
+    /// revised simplex. The default.
+    #[default]
     Auto,
-    /// Always the sparse revised simplex (dense-inverse basis engine).
-    Sparse,
     /// Always the dense tableau.
-    #[cfg_attr(feature = "dense-simplex", default)]
     Dense,
     /// Always the LU + eta-file revised simplex.
     Lu,
-    /// Always the LU + Forrest–Tomlin revised simplex.
-    LuFt,
-    /// Always the LU + Bartels–Golub revised simplex.
-    LuBg,
 }
 
 impl std::str::FromStr for BackendChoice {
@@ -430,14 +258,9 @@ impl std::str::FromStr for BackendChoice {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "auto" => Ok(BackendChoice::Auto),
-            "sparse" => Ok(BackendChoice::Sparse),
             "dense" => Ok(BackendChoice::Dense),
             "lu" => Ok(BackendChoice::Lu),
-            "lu-ft" => Ok(BackendChoice::LuFt),
-            "lu-bg" => Ok(BackendChoice::LuBg),
-            other => Err(format!(
-                "unknown LP backend `{other}` (expected auto, sparse, dense, lu, lu-ft, or lu-bg)"
-            )),
+            other => Err(format!("unknown LP backend `{other}` (expected auto, dense, or lu)")),
         }
     }
 }
@@ -456,9 +279,9 @@ impl BackendChoice {
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if a == "--lp-backend" {
-                let v = it.next().ok_or_else(|| {
-                    "--lp-backend needs auto, sparse, dense, lu, lu-ft, or lu-bg".to_string()
-                })?;
+                let v = it
+                    .next()
+                    .ok_or_else(|| "--lp-backend needs auto, dense, or lu".to_string())?;
                 found = Some(v.parse()?);
             }
         }
@@ -470,11 +293,8 @@ impl std::fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             BackendChoice::Auto => "auto",
-            BackendChoice::Sparse => "sparse",
             BackendChoice::Dense => "dense",
             BackendChoice::Lu => "lu",
-            BackendChoice::LuFt => "lu-ft",
-            BackendChoice::LuBg => "lu-bg",
         };
         write!(f, "{s}")
     }
@@ -524,8 +344,8 @@ pub struct LpStats {
     /// refactorization exposed a corrupted `x_B` (or failed outright on
     /// a singular basis where incremental state cannot be trusted) and
     /// the core solve restarted from scratch. Persistent nonzero counts
-    /// on a workload mean the selected basis representation is
-    /// numerically outmatched (route it to the `lu` backend).
+    /// on a workload mean the basis representation is numerically
+    /// outmatched there.
     pub watchdog_restarts: usize,
     /// Watchdog trips whose cause was a refactorization failing outright
     /// on a singular basis (the `watchdog_restarts` cause split;
@@ -540,7 +360,8 @@ pub struct LpStats {
     /// Failover-ladder rungs attempted after a backend exhausted its
     /// in-backend recovery and still returned
     /// [`LpError::PivotLimit`] — each rung re-runs the full pipeline on
-    /// the next backend down (`lu-ft → lu-bg → lu → sparse → dense`).
+    /// the other built-in (`lu → dense`, wrapping to `lu` when `dense`
+    /// failed).
     pub failovers: usize,
     /// Failover rungs that rescued the solve: the stepped-down backend
     /// produced the certified verdict.
@@ -554,16 +375,6 @@ pub struct LpStats {
     /// `reopt_attempts − reopt_successes` solves fell back to a cold
     /// primal solve.
     pub reopt_successes: usize,
-    /// Accuracy-triggered refactorizations: FT/BG updates whose
-    /// determinant-identity cross-check drifted, forcing an early
-    /// refactorization. The head-to-head stability metric between the
-    /// `lu-ft` and `lu-bg` update schemes.
-    pub accuracy_refactors: usize,
-    /// Bartels–Golub row interchanges performed (`lu-bg` solves only).
-    pub bg_interchanges: usize,
-    /// Max spike-pivot growth factor observed across all `lu-bg`
-    /// updates (0 when none measured one).
-    pub bg_max_growth: f64,
     /// Total wall time in the solve pipeline, seconds.
     pub wall_seconds: f64,
     /// Per-backend breakdown, in first-use order.
@@ -594,9 +405,6 @@ impl LpStats {
             failover_recoveries,
             reopt_attempts,
             reopt_successes,
-            accuracy_refactors,
-            bg_interchanges,
-            bg_max_growth,
             wall_seconds,
             backends,
         } = other;
@@ -616,9 +424,6 @@ impl LpStats {
         self.failover_recoveries += failover_recoveries;
         self.reopt_attempts += reopt_attempts;
         self.reopt_successes += reopt_successes;
-        self.accuracy_refactors += accuracy_refactors;
-        self.bg_interchanges += bg_interchanges;
-        self.bg_max_growth = self.bg_max_growth.max(*bg_max_growth);
         self.wall_seconds += wall_seconds;
         for t in backends {
             self.tally_mut(t.name).fold(t);
@@ -643,7 +448,6 @@ impl std::fmt::Display for LpStats {
              warm start {} hits / {} misses, {} evictions, {} persistent; \
              {} watchdog restarts ({} singular / {} infeasible), {} bland retries; \
              {} failovers / {} rescues; {} dual reopts ({} fell back cold); \
-             {} accuracy refactors, {} bg interchanges (growth {:.2}); \
              vec kernel {kernel}",
             self.solves,
             self.pivots,
@@ -662,9 +466,6 @@ impl std::fmt::Display for LpStats {
             self.failover_recoveries,
             self.reopt_attempts,
             self.reopt_attempts - self.reopt_successes,
-            self.accuracy_refactors,
-            self.bg_interchanges,
-            self.bg_max_growth,
             // The process-wide SIMD kernel behind every vecops call: logs
             // and bench artifacts must say which backend produced them —
             // including when the requested kernel silently degraded.
@@ -689,16 +490,12 @@ impl std::fmt::Display for LpStats {
 /// warm-start each other within the run without any ambient state. See
 /// the crate docs for a registration/selection example.
 pub struct LpSolver {
+    /// The built-ins first — [`DENSE_IDX`] and [`LU_IDX`] — then any
+    /// registered externals.
     backends: Vec<Box<dyn LpBackend>>,
-    /// `Auto` applies the size/density cutovers between
-    /// `sparse_idx`/`dense_idx`/`lu_idx`; `Fixed` pins one registered
-    /// backend.
+    /// `Auto` applies the size cutover between the two built-ins;
+    /// `Fixed` pins one registered backend.
     selection: Selection,
-    sparse_idx: usize,
-    dense_idx: usize,
-    lu_idx: usize,
-    lu_ft_idx: usize,
-    lu_bg_idx: usize,
     cache: BasisCache,
     /// Optional process-wide warm-start store consulted read-through on
     /// session-cache misses and written write-through on every cache
@@ -721,6 +518,10 @@ pub struct LpSolver {
     /// [`set_reoptimize`](Self::set_reoptimize).
     reopt: bool,
 }
+
+/// Registry positions of the built-in backends.
+const DENSE_IDX: usize = 0;
+const LU_IDX: usize = 1;
 
 #[derive(Debug, Clone, Copy)]
 enum Selection {
@@ -746,8 +547,7 @@ impl std::fmt::Debug for LpSolver {
 
 impl LpSolver {
     /// Creates a session with the built-in backends and the default
-    /// policy: [`BackendChoice::Auto`], or [`BackendChoice::Dense`] when
-    /// the crate is built with the `dense-simplex` feature.
+    /// policy, [`BackendChoice::Auto`].
     pub fn new() -> Self {
         Self::with_choice(BackendChoice::default())
     }
@@ -755,19 +555,8 @@ impl LpSolver {
     /// Creates a session with an explicit built-in selection policy.
     pub fn with_choice(choice: BackendChoice) -> Self {
         let mut s = LpSolver {
-            backends: vec![
-                Box::new(SparseRevised),
-                Box::new(DenseTableau),
-                Box::new(LuSimplex),
-                Box::new(LuFtSimplex),
-                Box::new(LuBgSimplex),
-            ],
+            backends: vec![Box::new(DenseTableau), Box::new(LuSimplex)],
             selection: Selection::Auto,
-            sparse_idx: 0,
-            dense_idx: 1,
-            lu_idx: 2,
-            lu_ft_idx: 3,
-            lu_bg_idx: 4,
             cache: BasisCache::new(DEFAULT_CACHE_CAPACITY),
             shared: None,
             stats: LpStats::default(),
@@ -785,11 +574,8 @@ impl LpSolver {
     pub fn set_choice(&mut self, choice: BackendChoice) {
         self.selection = match choice {
             BackendChoice::Auto => Selection::Auto,
-            BackendChoice::Sparse => Selection::Fixed(self.sparse_idx),
-            BackendChoice::Dense => Selection::Fixed(self.dense_idx),
-            BackendChoice::Lu => Selection::Fixed(self.lu_idx),
-            BackendChoice::LuFt => Selection::Fixed(self.lu_ft_idx),
-            BackendChoice::LuBg => Selection::Fixed(self.lu_bg_idx),
+            BackendChoice::Dense => Selection::Fixed(DENSE_IDX),
+            BackendChoice::Lu => Selection::Fixed(LU_IDX),
         };
     }
 
@@ -1099,9 +885,8 @@ impl LpSolver {
     /// Runs [`attempt`](Self::attempt) on the selected backend, then —
     /// when it exhausts in-backend recovery and still reports
     /// [`LpError::PivotLimit`] — steps down the failover ladder
-    /// `lu-ft → lu-bg → lu → sparse → dense` (wrapping past the bottom so every
-    /// other rung is tried exactly once), re-running the full pipeline
-    /// per rung. `Infeasible`/`Unbounded`/`Cancelled` are verdicts, not
+    /// `lu → dense` (wrapping past the bottom so every other rung is
+    /// tried exactly once), re-running the full pipeline per rung. `Infeasible`/`Unbounded`/`Cancelled` are verdicts, not
     /// faults: they return immediately from whichever rung produced
     /// them.
     fn pipeline(&mut self, lp: StdRows) -> Result<Vec<f64>, LpError> {
@@ -1119,14 +904,12 @@ impl LpSolver {
         if let Some(key) = first.warm_key {
             self.invalidate_warm(key);
         }
-        let ladder =
-            [self.lu_ft_idx, self.lu_bg_idx, self.lu_idx, self.sparse_idx, self.dense_idx];
+        let ladder = [LU_IDX, DENSE_IDX];
         // External backends (not on the ladder) fail over to the top
         // rung; built-ins resume below their own position. The walk
         // wraps: when the *bottom* rung is the one that failed (a
-        // transient fault on the dense oracle), the rungs above it are
-        // still untried solvers and each gets one shot before the
-        // session gives up.
+        // transient fault on the dense oracle), `lu` is still an untried
+        // solver and gets one shot before the session gives up.
         let start = ladder.iter().position(|&i| i == failed_idx).map_or(0, |p| p + 1);
         let rungs =
             (start..start + ladder.len()).map(|k| ladder[k % ladder.len()]).filter(|&i| {
@@ -1198,30 +981,10 @@ impl LpSolver {
             reduced.costs.iter().zip(&col_scale).map(|(&c, &s)| c * s).collect();
 
         // ---- Backend selection and warm-start lookup. ----
-        let idx = force.unwrap_or_else(|| match self.selection {
+        let idx = force.unwrap_or(match self.selection {
             Selection::Fixed(idx) => idx,
-            Selection::Auto => {
-                if m <= DENSE_CUTOVER_ROWS && n <= DENSE_CUTOVER_COLS {
-                    self.dense_idx
-                } else {
-                    // Size alone is not enough: a big basis only favors
-                    // the LU factors when the system is sparse enough
-                    // that they stay compact. Dense mid-size systems keep
-                    // the explicit-inverse engine. Within the LU class
-                    // the Forrest-Tomlin engine is preferred: these are
-                    // the longest-pivot-run systems in the workload, and
-                    // eta-free solves win exactly when the pivot runs
-                    // between refactorizations are long (the eta-file
-                    // `lu` backend stays selectable for differential
-                    // racing).
-                    let density = sa.nnz() as f64 / (m * n) as f64;
-                    if m >= LU_CUTOVER_ROWS && density <= LU_MAX_DENSITY {
-                        self.lu_ft_idx
-                    } else {
-                        self.sparse_idx
-                    }
-                }
-            }
+            Selection::Auto if m <= DENSE_CUTOVER_ROWS && n <= DENSE_CUTOVER_COLS => DENSE_IDX,
+            Selection::Auto => LU_IDX,
         });
         // Warm-start bookkeeping (pattern hash, cache lookup, hit/miss
         // counters) only for backends that can consume a basis; the
@@ -1257,8 +1020,8 @@ impl LpSolver {
             }
         }
 
-        // The in-backend injection sites (refactor, update pivots, FT
-        // accuracy) read the plan through a thread-local installed only
+        // The in-backend injection sites (refactor, update pivots, dual
+        // pivots) read the plan through a thread-local installed only
         // for the duration of the call; the visit counters round-trip
         // back into the session.
         let backend_started = Instant::now();
@@ -1319,9 +1082,6 @@ impl LpSolver {
         self.stats.watchdog_singular += core.watchdog_singular;
         self.stats.watchdog_infeasible += core.watchdog_infeasible;
         self.stats.bland_retries += core.bland_retries;
-        self.stats.accuracy_refactors += core.accuracy_refactors;
-        self.stats.bg_interchanges += core.bg_interchanges;
-        self.stats.bg_max_growth = self.stats.bg_max_growth.max(core.bg_max_growth);
         if warm_capable {
             if core.warm_start_used {
                 self.stats.warm_start_hits += 1;
@@ -1405,14 +1165,7 @@ mod tests {
 
     #[test]
     fn all_choices_agree_on_the_optimum() {
-        for choice in [
-            BackendChoice::Auto,
-            BackendChoice::Sparse,
-            BackendChoice::Dense,
-            BackendChoice::Lu,
-            BackendChoice::LuFt,
-            BackendChoice::LuBg,
-        ] {
+        for choice in [BackendChoice::Auto, BackendChoice::Dense, BackendChoice::Lu] {
             let mut solver = LpSolver::with_choice(choice);
             let sol = solver.solve(&simple_lp(3.0)).unwrap();
             assert!((sol.objective - 6.0).abs() < 1e-7, "{choice}: {}", sol.objective);
@@ -1420,12 +1173,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_by_size_and_density() {
-        // Large and sparse (one singleton cap per variable, far past the
-        // dense cutover): Auto must pick the LU backend.
+    fn auto_routes_large_models_to_lu() {
+        // One capped row per variable, past the dense cutover: Auto must
+        // pick the LU backend.
         let mut solver = LpSolver::with_choice(BackendChoice::Auto);
         let mut lp = LpBuilder::new();
-        let vars: Vec<_> = (0..LU_CUTOVER_ROWS + 8)
+        let vars: Vec<_> = (0..DENSE_CUTOVER_ROWS + 8)
             .map(|j| lp.add_var_nonneg(format!("x{j}")))
             .collect();
         let mut sum = LinExpr::new();
@@ -1441,23 +1194,19 @@ mod tests {
         lp.maximize(sum);
         solver.solve(&lp).unwrap();
         assert_eq!(solver.stats().backends.len(), 1);
-        assert_eq!(
-            solver.stats().backends[0].name,
-            "lu-ft",
-            "large sparse model routes to the Forrest–Tomlin engine"
-        );
+        assert_eq!(solver.stats().backends[0].name, "lu", "large model routes to lu");
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         for rhs in [3.0, 4.0, 5.0] {
             solver.solve(&simple_lp(rhs)).unwrap();
         }
         let stats = solver.stats().clone();
         assert_eq!(stats.solves, 3);
         assert_eq!(stats.backends.len(), 1);
-        assert_eq!(stats.backends[0].name, "sparse");
+        assert_eq!(stats.backends[0].name, "lu");
         assert_eq!(stats.backends[0].solves, 3);
         assert!(stats.warm_start_hits >= 1, "identical patterns must warm-start");
         let taken = solver.take_stats();
@@ -1476,10 +1225,10 @@ mod tests {
     #[test]
     fn select_backend_by_name() {
         let mut solver = LpSolver::new();
-        assert!(solver.select_backend("sparse"));
+        assert!(solver.select_backend("lu"));
         assert!(!solver.select_backend("interior-point"));
         solver.solve(&simple_lp(3.0)).unwrap();
-        assert_eq!(solver.stats().backends[0].name, "sparse");
+        assert_eq!(solver.stats().backends[0].name, "lu");
     }
 
     #[test]
@@ -1487,7 +1236,7 @@ mod tests {
         // Capacity 2, three distinct sparsity patterns solved round-robin
         // repeatedly: the cache must evict, never exceed its bound, and
         // every solve must stay correct.
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         solver.set_cache_capacity(2);
         // Three patterns: different numbers of active columns.
         let build = |pattern: usize, rhs: f64| {
@@ -1523,7 +1272,7 @@ mod tests {
 
     #[test]
     fn shrinking_capacity_evicts_down() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         for pattern in 0..3 {
             let mut lp = LpBuilder::new();
             let vars: Vec<_> =
@@ -1549,7 +1298,7 @@ mod tests {
         let shared = Arc::new(SharedBasisCache::new(16));
 
         // Session A runs cold and publishes its final basis write-through.
-        let mut a = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut a = LpSolver::with_choice(BackendChoice::Lu);
         a.set_shared_cache(shared.clone());
         a.solve(&simple_lp(3.0)).unwrap();
         assert_eq!(a.stats().persistent_warm_hits, 0, "nothing to inherit yet");
@@ -1557,7 +1306,7 @@ mod tests {
 
         // Session B has an empty *session* cache but the same shared
         // store: its very first solve of the pattern starts warm.
-        let mut b = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut b = LpSolver::with_choice(BackendChoice::Lu);
         b.set_shared_cache(shared.clone());
         let sol = b.solve(&simple_lp(4.0)).unwrap();
         assert!((sol.objective - 8.0).abs() < 1e-7, "{}", sol.objective);
@@ -1576,7 +1325,7 @@ mod tests {
         let path = dir.join("session.warm");
 
         let shared = Arc::new(SharedBasisCache::new(16));
-        let mut a = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut a = LpSolver::with_choice(BackendChoice::Lu);
         a.set_shared_cache(shared.clone());
         a.solve(&simple_lp(3.0)).unwrap();
         shared.save(&path).unwrap();
@@ -1584,7 +1333,7 @@ mod tests {
         // "Daemon restart": a freshly loaded store, a fresh session — the
         // first solve of the pattern is still warm.
         let reloaded = Arc::new(SharedBasisCache::load(&path, 16).unwrap());
-        let mut b = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut b = LpSolver::with_choice(BackendChoice::Lu);
         b.set_shared_cache(reloaded);
         let sol = b.solve(&simple_lp(5.0)).unwrap();
         assert!((sol.objective - 10.0).abs() < 1e-7, "{}", sol.objective);
@@ -1594,7 +1343,7 @@ mod tests {
     #[test]
     fn poisoned_shared_entries_cannot_break_solves() {
         let shared = Arc::new(SharedBasisCache::new(16));
-        let mut a = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut a = LpSolver::with_choice(BackendChoice::Lu);
         a.set_shared_cache(shared.clone());
         a.solve(&simple_lp(3.0)).unwrap();
 
@@ -1604,14 +1353,14 @@ mod tests {
         for key in shared.keys() {
             shared.put(key, vec![usize::MAX, usize::MAX, usize::MAX]);
         }
-        let mut b = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut b = LpSolver::with_choice(BackendChoice::Lu);
         b.set_shared_cache(shared.clone());
         let sol = b.solve(&simple_lp(3.0)).unwrap();
         assert!((sol.objective - 6.0).abs() < 1e-7, "poison must cost warmth, not the answer");
         assert_eq!(b.stats().persistent_warm_hits, 0, "garbage is never a hit");
         // The rejected entries were dropped, and B's own cold solve
         // re-published a good basis — a third session warm-starts again.
-        let mut c = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut c = LpSolver::with_choice(BackendChoice::Lu);
         c.set_shared_cache(shared);
         c.solve(&simple_lp(3.0)).unwrap();
         assert!(c.stats().persistent_warm_hits >= 1, "self-heals after poison");
@@ -1670,26 +1419,21 @@ mod tests {
             Some(BackendChoice::Lu)
         );
         assert_eq!(
-            BackendChoice::from_args(&args(&["--lp-backend", "lu-ft"])).unwrap(),
-            Some(BackendChoice::LuFt)
-        );
-        assert_eq!(
-            BackendChoice::from_args(&args(&["--lp-backend", "lu-bg"])).unwrap(),
-            Some(BackendChoice::LuBg)
-        );
-        assert_eq!(
-            BackendChoice::from_args(&args(&["--lp-backend", "sparse", "--lp-backend", "auto"]))
+            BackendChoice::from_args(&args(&["--lp-backend", "dense", "--lp-backend", "auto"]))
                 .unwrap(),
             Some(BackendChoice::Auto),
             "last occurrence wins"
         );
         assert!(BackendChoice::from_args(&args(&["--lp-backend"])).is_err());
         assert!(BackendChoice::from_args(&args(&["--lp-backend", "cuda"])).is_err());
+        for gone in ["sparse", "lu-ft", "lu-bg"] {
+            assert!(BackendChoice::from_args(&args(&["--lp-backend", gone])).is_err(), "{gone}");
+        }
     }
 
     #[test]
     fn cancellation_flag_stops_solves_at_boundaries() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         let flag = Arc::new(AtomicBool::new(false));
         solver.set_cancel_flag(flag.clone());
         // Flag down: solves run normally.
@@ -1708,7 +1452,7 @@ mod tests {
 
     #[test]
     fn merge_stats_folds_external_counters() {
-        let mut a = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut a = LpSolver::with_choice(BackendChoice::Lu);
         a.solve(&simple_lp(3.0)).unwrap();
         let taken = a.take_stats();
         assert_eq!(a.stats().solves, 0);
@@ -1748,7 +1492,7 @@ mod tests {
         let names: Vec<_> = stats.backends.iter().map(|t| t.name).collect();
         assert_eq!(
             names,
-            vec!["always-pivot-limit", "lu-ft"],
+            vec!["always-pivot-limit", "lu"],
             "an external backend fails over to the top of the ladder"
         );
     }
@@ -1764,7 +1508,7 @@ mod tests {
 
     #[test]
     fn injected_pivot_limit_steps_down_one_rung() {
-        let mut solver = LpSolver::with_choice(BackendChoice::LuFt);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         solver.install_fault_plan(FaultPlan::once(crate::FaultKind::PivotLimit));
         let sol = solver.solve(&simple_lp(3.0)).unwrap();
         assert!((sol.objective - 6.0).abs() < 1e-7);
@@ -1773,14 +1517,14 @@ mod tests {
         assert_eq!(stats.failovers, 1);
         assert_eq!(stats.failover_recoveries, 1);
         let names: Vec<_> = stats.backends.iter().map(|t| t.name).collect();
-        assert_eq!(names, vec!["lu-ft", "lu-bg"], "lu-ft steps down to lu-bg");
+        assert_eq!(names, vec!["lu", "dense"], "lu steps down to dense");
     }
 
     #[test]
     fn bottom_rung_failure_wraps_back_to_the_top() {
         // A transient fault on the dense oracle — the ladder's last rung
-        // — must not strand the session: the walk wraps and the rungs
-        // above get one shot each.
+        // — must not strand the session: the walk wraps and `lu` gets
+        // one shot.
         let mut solver = LpSolver::with_choice(BackendChoice::Dense);
         solver.install_fault_plan(FaultPlan::once(crate::FaultKind::PivotLimit));
         let sol = solver.solve(&simple_lp(3.0)).unwrap();
@@ -1790,19 +1534,19 @@ mod tests {
         assert_eq!(stats.failovers, 1);
         assert_eq!(stats.failover_recoveries, 1);
         let names: Vec<_> = stats.backends.iter().map(|t| t.name).collect();
-        assert_eq!(names, vec!["dense", "lu-ft"], "dense wraps to the top rung");
+        assert_eq!(names, vec!["dense", "lu"], "dense wraps to the top rung");
     }
 
     #[test]
     fn failover_invalidates_the_seeding_warm_start_entry() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         solver.solve(&simple_lp(3.0)).unwrap();
         solver.solve(&simple_lp(4.0)).unwrap();
         assert_eq!(solver.cache.map.len(), 1);
         assert!(solver.stats().warm_start_hits >= 1, "second solve warm-starts");
         // Third solve of the same pattern: the backend call "fails", so
         // the cached basis that seeded it must be dropped before the
-        // ladder (here: sparse → dense) takes over.
+        // ladder (lu → dense) takes over.
         solver.install_fault_plan(FaultPlan::once(crate::FaultKind::PivotLimit));
         let sol = solver.solve(&simple_lp(5.0)).unwrap();
         assert!((sol.objective - 10.0).abs() < 1e-7);
@@ -1812,7 +1556,7 @@ mod tests {
             "the poisoned pattern's entry is gone (the dense rescue rung caches nothing)"
         );
         let names: Vec<_> = solver.stats().backends.iter().map(|t| t.name).collect();
-        assert_eq!(names, vec!["sparse", "dense"]);
+        assert_eq!(names, vec!["lu", "dense"]);
     }
 
     #[test]
@@ -1827,8 +1571,26 @@ mod tests {
     }
 
     #[test]
+    fn failed_verdict_refactorization_is_rescued_by_the_all_bland_retry() {
+        // The first refactorization of a cold `lu` solve is the one that
+        // certifies the phase-1 verdict. Failing it leaves only
+        // incremental state, which must not certify anything: the
+        // watchdog abandons the Dantzig run and the all-Bland retry —
+        // not the failover ladder — produces the answer.
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+        solver.install_fault_plan(FaultPlan::once(crate::FaultKind::RefactorFail));
+        let sol = solver.solve(&simple_lp(3.0)).unwrap();
+        assert!((sol.objective - 6.0).abs() < 1e-7, "got {}", sol.objective);
+        assert!(solver.fault_fired());
+        let stats = solver.stats();
+        assert!(stats.bland_retries >= 1, "the all-Bland retry ran: {stats}");
+        assert_eq!((stats.watchdog_restarts, stats.watchdog_singular), (1, 1), "{stats}");
+        assert_eq!(stats.failovers, 0, "recovered in-backend");
+    }
+
+    #[test]
     fn past_deadline_cancels_at_the_boundary() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         solver.solve(&simple_lp(3.0)).unwrap();
         solver.set_deadline(Instant::now());
         assert!(solver.deadline_expired());
@@ -1841,37 +1603,30 @@ mod tests {
 
     #[test]
     fn injected_deadline_expiry_fires_once() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         solver.install_fault_plan(FaultPlan::once(crate::FaultKind::Deadline));
         assert_eq!(solver.solve(&simple_lp(3.0)).unwrap_err(), LpError::Cancelled);
         assert!(solver.fault_fired());
         solver.solve(&simple_lp(3.0)).unwrap();
     }
 
-    /// The revised backends a reoptimization test must cover (the dense
-    /// tableau has no basis to reoptimize from and silently declines).
-    const REOPT_BACKENDS: [BackendChoice; 4] =
-        [BackendChoice::Sparse, BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg];
-
     #[test]
     fn reoptimize_matches_cold_solve_on_rhs_perturbation() {
-        for choice in REOPT_BACKENDS {
-            let mut solver = LpSolver::with_choice(choice);
-            solver.solve(&simple_lp(3.0)).unwrap();
-            // Perturbed RHS, same pattern: the reoptimized optimum must
-            // equal the cold one exactly (both are certified optima).
-            let sol = solver.reoptimize(&simple_lp(4.5)).unwrap();
-            let mut cold = LpSolver::with_choice(choice);
-            let want = cold.solve(&simple_lp(4.5)).unwrap();
-            assert!(
-                (sol.objective - want.objective).abs() < 1e-9,
-                "{choice}: reopt {} vs cold {}",
-                sol.objective,
-                want.objective
-            );
-            assert_eq!(solver.stats().reopt_attempts, 1, "{choice}");
-            assert_eq!(solver.stats().reopt_successes, 1, "{choice}");
-        }
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+        solver.solve(&simple_lp(3.0)).unwrap();
+        // Perturbed RHS, same pattern: the reoptimized optimum must
+        // equal the cold one exactly (both are certified optima).
+        let sol = solver.reoptimize(&simple_lp(4.5)).unwrap();
+        let mut cold = LpSolver::with_choice(BackendChoice::Lu);
+        let want = cold.solve(&simple_lp(4.5)).unwrap();
+        assert!(
+            (sol.objective - want.objective).abs() < 1e-9,
+            "reopt {} vs cold {}",
+            sol.objective,
+            want.objective
+        );
+        assert_eq!(solver.stats().reopt_attempts, 1);
+        assert_eq!(solver.stats().reopt_successes, 1);
     }
 
     #[test]
@@ -1888,20 +1643,18 @@ mod tests {
             lp.maximize(LinExpr::new().term(x, 2.0).term(y, 1.0));
             lp
         };
-        for choice in REOPT_BACKENDS {
-            let mut solver = LpSolver::with_choice(choice);
-            let first = solver.solve(&build(2.0)).unwrap();
-            assert!((first.objective - 2.0).abs() < 1e-7, "{choice}: {}", first.objective);
-            let sol = solver.reoptimize(&build(0.5)).unwrap();
-            assert!((sol.objective - 1.5).abs() < 1e-7, "{choice}: {}", sol.objective);
-            assert_eq!(solver.stats().reopt_attempts, 1, "{choice}");
-            assert_eq!(solver.stats().reopt_successes, 1, "{choice}");
-        }
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+        let first = solver.solve(&build(2.0)).unwrap();
+        assert!((first.objective - 2.0).abs() < 1e-7, "{}", first.objective);
+        let sol = solver.reoptimize(&build(0.5)).unwrap();
+        assert!((sol.objective - 1.5).abs() < 1e-7, "{}", sol.objective);
+        assert_eq!(solver.stats().reopt_attempts, 1);
+        assert_eq!(solver.stats().reopt_successes, 1);
     }
 
     #[test]
     fn reoptimize_without_cached_basis_runs_cold() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         let sol = solver.reoptimize(&simple_lp(3.0)).unwrap();
         assert!((sol.objective - 6.0).abs() < 1e-7);
         assert_eq!(solver.stats().reopt_attempts, 0, "no basis, no attempt");
@@ -1910,7 +1663,7 @@ mod tests {
 
     #[test]
     fn successful_reoptimization_refreshes_the_cache_entry() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
         solver.solve(&simple_lp(3.0)).unwrap();
         let key = *solver.cache.map.keys().next().expect("cold solve cached its basis");
         solver.reoptimize(&simple_lp(4.0)).unwrap();
@@ -1928,25 +1681,19 @@ mod tests {
 
     #[test]
     fn tripped_dual_pivot_degrades_to_cold_solve() {
-        for choice in REOPT_BACKENDS {
-            let mut solver = LpSolver::with_choice(choice);
-            solver.solve(&simple_lp(3.0)).unwrap();
-            solver.install_fault_plan(FaultPlan::once(crate::FaultKind::DualPivot));
-            let sol = solver.reoptimize(&simple_lp(4.0)).unwrap();
-            assert!((sol.objective - 8.0).abs() < 1e-7, "{choice}: {}", sol.objective);
-            assert!(solver.fault_fired(), "{choice}: the dual pivot site was reached");
-            assert_eq!(solver.stats().reopt_attempts, 1, "{choice}");
-            assert_eq!(
-                solver.stats().reopt_successes,
-                0,
-                "{choice}: the tripped attempt fell back cold"
-            );
-        }
+        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+        solver.solve(&simple_lp(3.0)).unwrap();
+        solver.install_fault_plan(FaultPlan::once(crate::FaultKind::DualPivot));
+        let sol = solver.reoptimize(&simple_lp(4.0)).unwrap();
+        assert!((sol.objective - 8.0).abs() < 1e-7, "{}", sol.objective);
+        assert!(solver.fault_fired(), "the dual pivot site was reached");
+        assert_eq!(solver.stats().reopt_attempts, 1);
+        assert_eq!(solver.stats().reopt_successes, 0, "the tripped attempt fell back cold");
     }
 
     #[test]
     fn merge_combines_backend_tallies() {
-        let mut a = LpSolver::with_choice(BackendChoice::Sparse);
+        let mut a = LpSolver::with_choice(BackendChoice::Lu);
         a.solve(&simple_lp(3.0)).unwrap();
         let mut b = LpSolver::with_choice(BackendChoice::Dense);
         b.solve(&simple_lp(4.0)).unwrap();
@@ -1954,6 +1701,6 @@ mod tests {
         total.merge(b.stats());
         assert_eq!(total.solves, 2);
         let names: Vec<_> = total.backends.iter().map(|t| t.name).collect();
-        assert_eq!(names, vec!["sparse", "dense"]);
+        assert_eq!(names, vec!["lu", "dense"]);
     }
 }

@@ -6,7 +6,7 @@
 //! tool; the ROADMAP's "corpus capture workflow" section documents when
 //! and how to add one). This harness generalizes what
 //! `drift_regression.rs` pins for one instance to a growable corpus:
-//! every backend — dense, sparse, lu, lu-ft, lu-bg — must reproduce the
+//! both backends — dense and lu — must reproduce the
 //! verdict recorded from the dense oracle at capture time, agree with
 //! the pinned objective to 1e-7, satisfy `A·x = b` to 1e-6, and, when a
 //! file carries a (deliberately hostile) warm basis, produce the same
@@ -32,7 +32,7 @@
 
 use qava_lp::{
     BackendChoice, CoreSolution, CscMatrix, DenseTableau, FaultKind, FaultPlan, LpBackend,
-    LpError, LpSolver, LuBgSimplex, LuFtSimplex, LuSimplex, SparseRevised,
+    LpError, LpSolver, LuSimplex,
 };
 use std::path::{Path, PathBuf};
 
@@ -145,14 +145,11 @@ fn corpus_files() -> Vec<PathBuf> {
 
 /// The full backend lineup every instance replays through.
 fn backends() -> Vec<Box<dyn LpBackend>> {
-    vec![
-        Box::new(DenseTableau),
-        Box::new(SparseRevised),
-        Box::new(LuSimplex),
-        Box::new(LuFtSimplex),
-        Box::new(LuBgSimplex),
-    ]
+    vec![Box::new(DenseTableau), Box::new(LuSimplex)]
 }
+
+/// The same lineup as session policies, for the pipeline-level replays.
+const CHOICES: [BackendChoice; 2] = [BackendChoice::Dense, BackendChoice::Lu];
 
 /// Checks one solve result against the instance's pinned expectations.
 fn check(
@@ -255,37 +252,53 @@ fn check_session(inst: &CorpusInstance, solver: &mut LpSolver, tag: &str) {
 }
 
 /// Metamorphic fault replay: every corpus instance, re-solved under each
-/// single-fault plan a backend can plausibly hit, must still land on the
-/// pinned verdict and objective — recovery (in-backend restart or the
-/// failover ladder) may change *how* the answer is reached, never *what*
-/// it is. Plans whose site is never visited on a given instance simply
-/// don't fire, which is also a valid outcome.
+/// single-fault plan on both backends, must still land on the pinned
+/// verdict and objective — recovery (in-backend restart or the failover
+/// ladder) may change *how* the answer is reached, never *what* it is.
+/// A `dual-pivot` plan runs in reoptimize mode after a priming solve
+/// (the dual path needs a cached basis); a `deadline` plan must cancel
+/// exactly one solve, after which the session solves normally. Plans
+/// whose site a backend never visits (the dense tableau has no
+/// refactorizations) simply don't fire, but every kind must fire
+/// somewhere. `warm-poison` has its own replay below.
 #[test]
 fn corpus_survives_every_single_fault_plan() {
-    let plans: &[(FaultKind, &[BackendChoice])] = &[
-        (
-            FaultKind::RefactorFail,
-            &[BackendChoice::Sparse, BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg],
-        ),
-        (FaultKind::ShakyPivot, &[BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg]),
-        (FaultKind::AccuracyTrip, &[BackendChoice::LuFt]),
-        (FaultKind::BgAccuracy, &[BackendChoice::LuBg]),
-        (FaultKind::PivotLimit, &[BackendChoice::LuFt, BackendChoice::LuBg, BackendChoice::Sparse]),
+    let kinds = [
+        FaultKind::RefactorFail,
+        FaultKind::ShakyPivot,
+        FaultKind::PivotLimit,
+        FaultKind::DualPivot,
+        FaultKind::Deadline,
     ];
-    let mut fired = 0usize;
+    let mut fired = std::collections::BTreeSet::new();
     for path in corpus_files() {
         let inst = parse(&path);
-        for &(kind, choices) in plans {
-            for &choice in choices {
+        for kind in kinds {
+            for choice in CHOICES {
                 let mut solver = LpSolver::with_choice(choice);
+                let tag = format!("{} [{choice}, fault {}]", inst.name, kind.label());
+                if kind == FaultKind::DualPivot {
+                    check_session(&inst, &mut solver, &format!("{tag}, prime"));
+                    solver.set_reoptimize(true);
+                }
                 solver.install_fault_plan(FaultPlan::once(kind));
-                let tag = format!("{} [{choice:?}, fault {}]", inst.name, kind.label());
+                if kind == FaultKind::Deadline {
+                    let out = solver.solve_standard_sparse(
+                        &inst.costs,
+                        &inst.rows,
+                        &inst.b,
+                        inst.costs.len(),
+                    );
+                    assert_eq!(out.unwrap_err(), LpError::Cancelled, "{tag}");
+                }
                 check_session(&inst, &mut solver, &tag);
-                fired += usize::from(solver.fault_fired());
+                if solver.fault_fired() {
+                    fired.insert(kind.label());
+                }
             }
         }
     }
-    assert!(fired > 0, "no fault plan ever fired — injection sites unreachable?");
+    assert_eq!(fired.len(), kinds.len(), "only {fired:?} ever fired — injection sites unreachable?");
 }
 
 /// Warm-poison replay: prime the warm-start cache with a clean solve,
@@ -297,12 +310,12 @@ fn corpus_survives_poisoned_warm_starts() {
     let mut fired = 0usize;
     for path in corpus_files() {
         let inst = parse(&path);
-        for choice in [BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg] {
+        for choice in CHOICES {
             let mut solver = LpSolver::with_choice(choice);
-            let tag_clean = format!("{} [{choice:?}, warm prime]", inst.name);
+            let tag_clean = format!("{} [{choice}, warm prime]", inst.name);
             check_session(&inst, &mut solver, &tag_clean);
             solver.install_fault_plan(FaultPlan::once(FaultKind::WarmPoison));
-            let tag = format!("{} [{choice:?}, warm poison]", inst.name);
+            let tag = format!("{} [{choice}, warm poison]", inst.name);
             check_session(&inst, &mut solver, &tag);
             fired += usize::from(solver.fault_fired());
         }
@@ -312,8 +325,8 @@ fn corpus_survives_poisoned_warm_starts() {
 
 /// Sweep-chain replay: the `sweep_*_NN.qlp` files are ordered ladders of
 /// structurally identical, value-perturbed core systems harvested from
-/// one `qava --sweep` family session (`harvest_sweep_chains`). For every
-/// reoptimize-capable backend, walk each chain the way
+/// one `qava --sweep` family session (`harvest_sweep_chains`). For the
+/// reoptimize-capable backend (`lu`), walk each chain the way
 /// `LpSolver::reoptimize` does — cold-solve the head, then
 /// dual-reoptimize each successor from the previous member's final
 /// basis — and hold every incrementally produced solution to that

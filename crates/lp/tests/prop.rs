@@ -134,27 +134,21 @@ proptest! {
 // ---------------------------------------------------------------------
 // Differential tests: every backend registered through the `LpBackend`
 // trait on random standard-form LPs. Backends are selected **at
-// runtime** via `LpSolver` sessions — not via the `dense-simplex` cargo
-// feature — so all three cores are exercised unconditionally in every
-// build. All backends must agree on the verdict (optimal / infeasible /
+// runtime** via `LpSolver` sessions, so the `auto` policy and both cores
+// are exercised unconditionally in every build. All must agree on the verdict (optimal / infeasible /
 // unbounded) and, when optimal, on the objective value — the argmin may
 // differ when the optimum face is not a vertex singleton.
 // ---------------------------------------------------------------------
 
 use qava_linalg::Matrix;
 use qava_lp::{
-    BackendChoice, CoreSolution, CscMatrix, LpBackend, LpError, LpSolver, LuBgSimplex, LuFtSimplex,
-    LuSimplex, SparseRevised, solve_standard_dense,
+    BackendChoice, CoreSolution, CscMatrix, LpBackend, LpError, LpSolver, LuSimplex,
+    solve_standard_dense,
 };
 
-/// The runtime-selected backends every differential case runs through.
-const DIFF_BACKENDS: [BackendChoice; 5] = [
-    BackendChoice::Sparse,
-    BackendChoice::Dense,
-    BackendChoice::Lu,
-    BackendChoice::LuFt,
-    BackendChoice::LuBg,
-];
+/// The runtime-selected policies every differential case runs through.
+const DIFF_BACKENDS: [BackendChoice; 3] =
+    [BackendChoice::Auto, BackendChoice::Dense, BackendChoice::Lu];
 
 /// One fresh session per (case, backend): differential cases must not
 /// warm-start each other across proptest iterations.
@@ -340,38 +334,34 @@ proptest! {
         }
     }
 
-    /// Warm-started re-solves agree with cold solves of every backend:
-    /// one warm-capable session solves a drifting sequence of
+    /// Warm-started re-solves agree with cold dense solves: one `lu`
+    /// session solves a drifting sequence of
     /// same-pattern LPs (hitting the basis cache) and each solve is
     /// cross-checked against a cold dense session.
     #[test]
     fn differential_warm_start_chain(seed in any::<u64>()) {
         let inst = feasible_std_lp(seed);
-        for warm_choice in
-            [BackendChoice::Sparse, BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg]
-        {
-            let mut warm = LpSolver::with_choice(warm_choice);
-            for step in 0..4 {
-                let mut drifted = inst.clone();
-                for v in drifted.b.iter_mut() {
-                    *v *= 1.0 + 0.05 * step as f64;
-                }
-                let xw = warm.solve_standard(&drifted.costs, &drifted.matrix(), &drifted.b)
-                    .expect("scaled instance stays feasible and bounded");
-                let xc = solve_with(BackendChoice::Dense, &drifted)
-                    .expect("cold dense solve of the same instance");
-                let ow = objective(&drifted.costs, &xw);
-                let oc = objective(&drifted.costs, &xc);
-                prop_assert!((ow - oc).abs() <= 1e-5 * (1.0 + ow.abs().max(oc.abs())),
-                    "step {step}: warm {warm_choice} {ow} vs cold dense {oc}");
+        let mut warm = LpSolver::with_choice(BackendChoice::Lu);
+        for step in 0..4 {
+            let mut drifted = inst.clone();
+            for v in drifted.b.iter_mut() {
+                *v *= 1.0 + 0.05 * step as f64;
             }
+            let xw = warm.solve_standard(&drifted.costs, &drifted.matrix(), &drifted.b)
+                .expect("scaled instance stays feasible and bounded");
+            let xc = solve_with(BackendChoice::Dense, &drifted)
+                .expect("cold dense solve of the same instance");
+            let ow = objective(&drifted.costs, &xw);
+            let oc = objective(&drifted.costs, &xc);
+            prop_assert!((ow - oc).abs() <= 1e-5 * (1.0 + ow.abs().max(oc.abs())),
+                "step {step}: warm lu {ow} vs cold dense {oc}");
         }
     }
 
     /// A hostile warm-start basis — singular (duplicated column) or
     /// nearly singular — must never change a verdict or an optimum: the
-    /// warm-capable backends hit the refactorization backstop, reject
-    /// the basis, and fall back to the cold path.
+    /// `lu` backend hits the refactorization backstop, rejects the
+    /// basis, and falls back to the cold path.
     #[test]
     fn differential_hostile_warm_basis(seed in any::<u64>()) {
         let inst = feasible_std_lp(seed);
@@ -386,19 +376,12 @@ proptest! {
         let mut stale = vec![inst.a[0].len() - 1; m];
         stale[0] = 0;
         for (label, basis) in [("singular", &singular), ("stale", &stale)] {
-            for backend in [
-                Box::new(SparseRevised) as Box<dyn LpBackend>,
-                Box::new(LuSimplex) as Box<dyn LpBackend>,
-                Box::new(LuFtSimplex) as Box<dyn LpBackend>,
-                Box::new(LuBgSimplex) as Box<dyn LpBackend>,
-            ] {
-                let core = backend
-                    .solve_core(&inst.costs, &csc, &inst.b, Some(basis))
-                    .unwrap_or_else(|e| panic!("{} warm={label}: {e}", backend.name()));
-                let o = objective(&inst.costs, &core.x);
-                prop_assert!((o - oref).abs() <= 1e-5 * (1.0 + o.abs().max(oref.abs())),
-                    "{} with {label} warm basis: {o} vs {oref}", backend.name());
-            }
+            let core = LuSimplex
+                .solve_core(&inst.costs, &csc, &inst.b, Some(basis))
+                .unwrap_or_else(|e| panic!("lu warm={label}: {e}"));
+            let o = objective(&inst.costs, &core.x);
+            prop_assert!((o - oref).abs() <= 1e-5 * (1.0 + o.abs().max(oref.abs())),
+                "lu with {label} warm basis: {o} vs {oref}");
         }
     }
 }
@@ -447,33 +430,51 @@ fn pivot_limit_propagates_through_registered_backend() {
     assert_eq!(stats.backends[0].name, "gives-up");
     assert_eq!(stats.failovers, 0);
     // Selecting a real backend afterwards recovers the optimum.
-    assert!(solver.select_backend("sparse"));
+    assert!(solver.select_backend("lu"));
     solver
         .solve_standard(&inst.costs, &inst.matrix(), &inst.b)
-        .expect("sparse backend solves the same instance");
+        .expect("lu backend solves the same instance");
 }
 
+/// The two-rung failover ladder, every entry point: an external backend
+/// fails over to the top rung (`lu`), a failed `lu` steps down to
+/// `dense`, and a failed `dense` — the bottom rung — wraps back to `lu`.
+/// Each rescue must certify the same optimum the oracle reports, and
+/// both the failure and the rescue are tallied.
 #[test]
 fn pivot_limit_rescued_by_failover_ladder() {
+    use qava_lp::{FaultKind, FaultPlan};
     let inst = feasible_std_lp(7);
-    // Default sessions instead rescue the solve: the ladder steps down
-    // to a built-in rung, which must certify the same optimum the
-    // backend would have.
     let mut oracle = LpSolver::with_choice(BackendChoice::Dense);
     let xref = oracle.solve_standard(&inst.costs, &inst.matrix(), &inst.b).unwrap();
     let oref = objective(&inst.costs, &xref);
-    let mut solver = LpSolver::new();
-    solver.register_backend(Box::new(GivesUp));
-    let x = solver
-        .solve_standard(&inst.costs, &inst.matrix(), &inst.b)
-        .expect("the ladder rescues the giving-up backend");
-    let o = objective(&inst.costs, &x);
-    assert!((o - oref).abs() <= 1e-7 * (1.0 + oref.abs()), "{o} vs {oref}");
-    let stats = solver.stats();
-    assert_eq!(stats.failovers, 1, "the first rung rescues");
-    assert_eq!(stats.failover_recoveries, 1);
-    let names: Vec<_> = stats.backends.iter().map(|t| t.name).collect();
-    assert_eq!(names, vec!["gives-up", "lu-ft"], "both the failure and the rescue are tallied");
+
+    let external = {
+        let mut s = LpSolver::new();
+        s.register_backend(Box::new(GivesUp));
+        s
+    };
+    let pinned = |choice: BackendChoice| {
+        let mut s = LpSolver::with_choice(choice);
+        s.install_fault_plan(FaultPlan::once(FaultKind::PivotLimit));
+        s
+    };
+    for (mut solver, want) in [
+        (external, ["gives-up", "lu"]),
+        (pinned(BackendChoice::Lu), ["lu", "dense"]),
+        (pinned(BackendChoice::Dense), ["dense", "lu"]),
+    ] {
+        let x = solver
+            .solve_standard(&inst.costs, &inst.matrix(), &inst.b)
+            .unwrap_or_else(|e| panic!("{want:?}: the ladder must rescue, got {e}"));
+        let o = objective(&inst.costs, &x);
+        assert!((o - oref).abs() <= 1e-7 * (1.0 + oref.abs()), "{want:?}: {o} vs {oref}");
+        let stats = solver.stats();
+        assert_eq!(stats.failovers, 1, "{want:?}: one rung rescues");
+        assert_eq!(stats.failover_recoveries, 1, "{want:?}");
+        let names: Vec<_> = stats.backends.iter().map(|t| t.name).collect();
+        assert_eq!(names, want, "both the failure and the rescue are tallied");
+    }
 }
 
 /// Regression (column-scaling undo): a template-LP-shaped system mixing
@@ -489,19 +490,7 @@ fn column_scaling_undo_regression() {
     let b = vec![3.0, 7.0];
     let costs = vec![1.0, 1.0];
     for (label, x) in [
-        (
-            "sparse",
-            LpSolver::with_choice(BackendChoice::Sparse).solve_standard(&costs, &a, &b).unwrap(),
-        ),
         ("lu", LpSolver::with_choice(BackendChoice::Lu).solve_standard(&costs, &a, &b).unwrap()),
-        (
-            "lu-ft",
-            LpSolver::with_choice(BackendChoice::LuFt).solve_standard(&costs, &a, &b).unwrap(),
-        ),
-        (
-            "lu-bg",
-            LpSolver::with_choice(BackendChoice::LuBg).solve_standard(&costs, &a, &b).unwrap(),
-        ),
         ("dense", solve_standard_dense(&costs, &a, &b).unwrap()),
     ] {
         assert!((x[0] - 2.0).abs() < 1e-5, "{label}: x0 = {}", x[0]);
@@ -517,19 +506,7 @@ fn column_scaling_undo_regression() {
     let b = vec![5e2, 8e2];
     let costs = vec![1.0, 1.0, 0.0];
     for (label, x) in [
-        (
-            "sparse",
-            LpSolver::with_choice(BackendChoice::Sparse).solve_standard(&costs, &a, &b).unwrap(),
-        ),
         ("lu", LpSolver::with_choice(BackendChoice::Lu).solve_standard(&costs, &a, &b).unwrap()),
-        (
-            "lu-ft",
-            LpSolver::with_choice(BackendChoice::LuFt).solve_standard(&costs, &a, &b).unwrap(),
-        ),
-        (
-            "lu-bg",
-            LpSolver::with_choice(BackendChoice::LuBg).solve_standard(&costs, &a, &b).unwrap(),
-        ),
         ("dense", solve_standard_dense(&costs, &a, &b).unwrap()),
     ] {
         let r1 = 1e2 * x[0] + x[2];
@@ -543,11 +520,9 @@ fn column_scaling_undo_regression() {
 // Metamorphic properties: a solved LP and a mechanically transformed
 // twin must agree in ways the transformation dictates exactly. Unlike
 // the differential block above (which needs a second solver to disagree
-// with), these detect a backend that is consistently wrong — all five
-// engines run every property.
+// with), these detect a backend that is consistently wrong — every
+// policy runs every property.
 // ---------------------------------------------------------------------
-
-use qava_lp::debug::{trace_pivots, TraceEngine};
 
 /// Deterministic Fisher–Yates permutation of `0..n` from a seed.
 fn permutation(n: usize, seed: u64) -> Vec<usize> {
@@ -586,7 +561,7 @@ proptest! {
     /// by s substitutes x_j' = x_j / s — the optimal objective is
     /// untouched. Exercises every backend's interaction with the
     /// session's equilibrator and its undo path (the historical
-    /// column-scaling-undo bug class, now for all five engines).
+    /// column-scaling-undo bug class).
     #[test]
     fn metamorphic_column_scaling(seed in any::<u64>(), scale_seed in any::<u64>()) {
         let inst = feasible_std_lp(seed);
@@ -635,81 +610,5 @@ proptest! {
             prop_assert!((lambda * o0 - o1).abs() <= 1e-5 * (1.0 + o1.abs()),
                 "{choice}: λ={lambda}: optimum {o0} should scale to {}, got {o1}", lambda * o0);
         }
-    }
-
-    /// The Forrest–Tomlin and eta-file engines share every line of the
-    /// pricing loop; under Bland's rule (deterministic lowest-index
-    /// selection, no near-tie races) they must therefore visit the
-    /// **identical** pivot sequence on identical instances. When this
-    /// fails, the bug is in the basis-update algebra — the one part the
-    /// engines do not share — which is exactly where a differential
-    /// objective mismatch cannot localize it.
-    #[test]
-    fn metamorphic_ft_and_eta_pivot_sequences_agree(seed in any::<u64>()) {
-        let inst = feasible_std_lp(seed);
-        let csc = CscMatrix::from_dense(&inst.matrix());
-        let (re, eta) = trace_pivots(TraceEngine::LuEta, &inst.costs, &csc, &inst.b, true);
-        let (rf, ft) = trace_pivots(TraceEngine::LuFt, &inst.costs, &csc, &inst.b, true);
-        prop_assert_eq!(eta.len(), ft.len(),
-            "pivot counts diverged: eta {} vs ft {}", eta.len(), ft.len());
-        for (i, (pe, pf)) in eta.iter().zip(&ft).enumerate() {
-            prop_assert_eq!(pe, pf, "pivot {i} diverged: eta {:?} vs ft {:?}", pe, pf);
-        }
-        // Verdicts agree too (both Ok-with-solution here by
-        // construction; still compare shape, not just the trace).
-        prop_assert_eq!(re.is_ok(), rf.is_ok());
-        if let (Ok(Some(xe)), Ok(Some(xf))) = (re, rf) {
-            let (oe, of) = (objective(&inst.costs, &xe), objective(&inst.costs, &xf));
-            prop_assert!((oe - of).abs() <= 1e-6 * (1.0 + oe.abs().max(of.abs())),
-                "same pivot path, different optimum: {oe} vs {of}");
-        }
-    }
-
-    /// Same property under maximal degeneracy (dependent rows force tie
-    /// after tie through the Bland order).
-    #[test]
-    fn metamorphic_pivot_sequences_agree_on_degenerate_instances(seed in any::<u64>()) {
-        let inst = degenerate_std_lp(seed);
-        let csc = CscMatrix::from_dense(&inst.matrix());
-        let (_, eta) = trace_pivots(TraceEngine::LuEta, &inst.costs, &csc, &inst.b, true);
-        let (_, ft) = trace_pivots(TraceEngine::LuFt, &inst.costs, &csc, &inst.b, true);
-        prop_assert_eq!(&eta, &ft, "degenerate pivot sequences diverged");
-    }
-
-    /// Bartels–Golub vs Forrest–Tomlin: the two LU update engines share
-    /// the pricing loop and differ only in how the spike is eliminated
-    /// (row interchanges vs a fixed rotation), a choice that changes the
-    /// rounding — not the exact arithmetic path the ratio tests see.
-    /// Under Bland's rule the pivot sequences must therefore be
-    /// identical; a divergence localizes a bug to the BG elimination
-    /// algebra itself.
-    #[test]
-    fn metamorphic_bg_and_ft_pivot_sequences_agree(seed in any::<u64>()) {
-        let inst = feasible_std_lp(seed);
-        let csc = CscMatrix::from_dense(&inst.matrix());
-        let (rf, ft) = trace_pivots(TraceEngine::LuFt, &inst.costs, &csc, &inst.b, true);
-        let (rb, bg) = trace_pivots(TraceEngine::LuBg, &inst.costs, &csc, &inst.b, true);
-        prop_assert_eq!(ft.len(), bg.len(),
-            "pivot counts diverged: ft {} vs bg {}", ft.len(), bg.len());
-        for (i, (pf, pb)) in ft.iter().zip(&bg).enumerate() {
-            prop_assert_eq!(pf, pb, "pivot {i} diverged: ft {:?} vs bg {:?}", pf, pb);
-        }
-        prop_assert_eq!(rf.is_ok(), rb.is_ok());
-        if let (Ok(Some(xf)), Ok(Some(xb))) = (rf, rb) {
-            let (of, ob) = (objective(&inst.costs, &xf), objective(&inst.costs, &xb));
-            prop_assert!((of - ob).abs() <= 1e-6 * (1.0 + of.abs().max(ob.abs())),
-                "same pivot path, different optimum: ft {of} vs bg {ob}");
-        }
-    }
-
-    /// And under maximal degeneracy, where an update-algebra error is
-    /// likeliest to flip a zero-tolerance ratio-test tie.
-    #[test]
-    fn metamorphic_bg_pivot_sequences_agree_on_degenerate_instances(seed in any::<u64>()) {
-        let inst = degenerate_std_lp(seed);
-        let csc = CscMatrix::from_dense(&inst.matrix());
-        let (_, ft) = trace_pivots(TraceEngine::LuFt, &inst.costs, &csc, &inst.b, true);
-        let (_, bg) = trace_pivots(TraceEngine::LuBg, &inst.costs, &csc, &inst.b, true);
-        prop_assert_eq!(&ft, &bg, "degenerate bg/ft pivot sequences diverged");
     }
 }

@@ -18,7 +18,7 @@ options:
                          (default 4096)
   --max-inflight N       concurrent analysis bound (default: the rayon
                          pool width)
-  --lp-backend B         auto | sparse | dense | lu | lu-ft | lu-bg
+  --lp-backend B         auto | dense | lu
                          (default auto; requests may override)
 
 Clients speak newline-delimited JSON (see the qavad::protocol docs);
@@ -48,9 +48,7 @@ fn parse_config(args: &[String]) -> Result<DaemonConfig, String> {
                     n.parse().map_err(|_| format!("bad inflight bound `{n}`"))?;
             }
             "--lp-backend" => {
-                let b = it
-                    .next()
-                    .ok_or("--lp-backend needs auto, sparse, dense, lu, lu-ft, or lu-bg")?;
+                let b = it.next().ok_or("--lp-backend needs auto, dense, or lu")?;
                 config.backend = b.parse()?;
             }
             "--help" | "-h" => return Err(String::new()),

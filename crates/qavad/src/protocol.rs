@@ -18,7 +18,8 @@
 //!              "race":bool?,               // default false (sequential)
 //!              "deadline_ms":int?,         // per-request wall budget
 //!              "invariant_iters":int?,     // propagation rounds, default 0
-//!              "lp_backend":string?}       // default: daemon-wide policy
+//!              "lp_backend":string?}       // auto | dense | lu; default:
+//!                                          // daemon-wide policy
 //! stats    := {"cmd":"stats"}
 //! shutdown := {"cmd":"shutdown"}
 //!
@@ -90,9 +91,6 @@ pub fn lp_stats_to_json(stats: &LpStats) -> Json {
         failover_recoveries,
         reopt_attempts,
         reopt_successes,
-        accuracy_refactors,
-        bg_interchanges,
-        bg_max_growth,
         wall_seconds,
         backends,
     } = stats;
@@ -114,9 +112,6 @@ pub fn lp_stats_to_json(stats: &LpStats) -> Json {
         ("failover_recoveries", n(*failover_recoveries)),
         ("reopt_attempts", n(*reopt_attempts)),
         ("reopt_successes", n(*reopt_successes)),
-        ("accuracy_refactors", n(*accuracy_refactors)),
-        ("bg_interchanges", n(*bg_interchanges)),
-        ("bg_max_growth", Json::from_f64(*bg_max_growth)),
         ("wall_seconds", Json::from_f64(*wall_seconds)),
         (
             "backends",
@@ -143,11 +138,8 @@ pub fn lp_stats_to_json(stats: &LpStats) -> Json {
 /// not by request volume.
 pub fn intern_name(name: &str) -> &'static str {
     const KNOWN: &[&str] = &[
-        "sparse",
         "dense",
         "lu",
-        "lu-ft",
-        "lu-bg",
         "hoeffding-linear",
         "azuma",
         "explinsyn",
@@ -186,9 +178,6 @@ pub fn lp_stats_from_json(json: &Json) -> LpStats {
         failover_recoveries: n("failover_recoveries"),
         reopt_attempts: n("reopt_attempts"),
         reopt_successes: n("reopt_successes"),
-        accuracy_refactors: n("accuracy_refactors"),
-        bg_interchanges: n("bg_interchanges"),
-        bg_max_growth: f("bg_max_growth"),
         wall_seconds: f("wall_seconds"),
         backends: Vec::new(),
     };
@@ -307,13 +296,13 @@ mod tests {
             warm_start_hits: 9,
             warm_start_misses: 27,
             persistent_warm_hits: 4,
-            bg_max_growth: 1.75,
+            reopt_attempts: 3,
             wall_seconds: 0.125,
             ..LpStats::default()
         };
         stats.merge(&LpStats::default());
         stats.backends.push(BackendTally {
-            name: "lu-ft",
+            name: "lu",
             solves: 36,
             pivots: 1200,
             wall_seconds: 0.125,
@@ -326,6 +315,21 @@ mod tests {
         let stats = sample_stats();
         let back = lp_stats_from_json(&parse(&lp_stats_to_json(&stats).render()).unwrap());
         assert_eq!(stats, back);
+    }
+
+    #[test]
+    fn lp_stats_ignore_fields_this_build_does_not_know() {
+        // A peer may carry stats fields this build lacks (e.g. the
+        // per-engine counters of a build with more LU update schemes);
+        // they are skipped, and fields the peer lacks read as 0.
+        let json = parse(
+            r#"{"solves":5,"pivots":40,"accuracy_refactors":2,"bg_max_growth":1.5,
+                "backends":[{"name":"lu-bg","solves":5,"pivots":40,"wall_seconds":0.5}]}"#,
+        )
+        .unwrap();
+        let stats = lp_stats_from_json(&json);
+        assert_eq!((stats.solves, stats.pivots, stats.bland_retries), (5, 40, 0));
+        assert_eq!(stats.backends[0].name, "lu-bg");
     }
 
     #[test]
@@ -355,7 +359,7 @@ mod tests {
     #[test]
     fn intern_name_reuses_known_statics() {
         assert_eq!(intern_name("explinsyn"), "explinsyn");
-        assert_eq!(intern_name("lu-ft"), "lu-ft");
+        assert_eq!(intern_name("lu"), "lu");
         let leaked = intern_name("future-engine");
         assert_eq!(leaked, "future-engine");
     }

@@ -16,7 +16,7 @@
 //! | [`analysis`] | `qava-core` | the paper's three synthesis algorithms |
 //! | [`sim`] | `qava-sim` | Monte-Carlo estimation of violation probability |
 //! | [`polyhedra`] | `qava-polyhedra` | double description, Minkowski decomposition |
-//! | [`lp`] | `qava-lp` | sparse revised simplex, Farkas compiler |
+//! | [`lp`] | `qava-lp` | LU revised simplex + dense tableau, Farkas compiler |
 //! | [`convex`] | `qava-convex` | log-barrier solver for exp-sum programs |
 //! | [`linalg`] | `qava-linalg` | dense matrices, least squares, nullspaces |
 //!
