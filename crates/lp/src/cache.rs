@@ -30,31 +30,37 @@
 //!   same path never share the temporary file.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Bounded LRU map from LP sparsity pattern to final basis.
-#[derive(Debug, Default)]
-pub(crate) struct BasisCache {
+/// Bounded LRU map, by default from LP sparsity pattern to final basis.
+///
+/// Generic so the workspace keeps one LRU: `qavad`'s compile-once
+/// program store reuses it with its own key and value types.
+#[derive(Debug)]
+pub struct BasisCache<K = u64, V = Vec<usize>> {
     pub(crate) capacity: usize,
     /// Logical clock for recency; bumped on every touch.
     pub(crate) tick: u64,
-    pub(crate) map: HashMap<u64, (Vec<usize>, u64)>,
+    pub(crate) map: HashMap<K, (V, u64)>,
 }
 
-impl BasisCache {
-    pub(crate) fn new(capacity: usize) -> Self {
+impl<K: Eq + Hash + Clone, V: Clone> BasisCache<K, V> {
+    /// An empty cache holding at most `capacity` entries (0 disables it).
+    pub fn new(capacity: usize) -> Self {
         BasisCache { capacity, tick: 0, map: HashMap::new() }
     }
 
-    pub(crate) fn get(&mut self, key: u64) -> Option<Vec<usize>> {
+    /// Looks up `key`, marking it most recently used on a hit.
+    pub fn get(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
-        self.map.get_mut(&key).map(|(basis, used)| {
+        self.map.get_mut(key).map(|(value, used)| {
             *used = tick;
-            basis.clone()
+            value.clone()
         })
     }
 
@@ -66,7 +72,7 @@ impl BasisCache {
     /// oversized. The existing entry for `key` is dropped up front —
     /// the insert overwrites it anyway — so the loop only ever has to
     /// make room for exactly one addition.
-    pub(crate) fn put(&mut self, key: u64, basis: Vec<usize>) -> usize {
+    pub fn put(&mut self, key: K, value: V) -> usize {
         if self.capacity == 0 {
             return 0;
         }
@@ -76,14 +82,14 @@ impl BasisCache {
         while self.map.len() >= self.capacity && self.evict_lru() {
             evicted += 1;
         }
-        self.map.insert(key, (basis, self.tick));
+        self.map.insert(key, (value, self.tick));
         evicted
     }
 
     /// Removes the least-recently-used entry (linear scan: the cache is
     /// small by construction). Returns `false` when empty.
     pub(crate) fn evict_lru(&mut self) -> bool {
-        match self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(&k, _)| k) {
+        match self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k.clone()) {
             Some(victim) => {
                 self.map.remove(&victim);
                 true
@@ -95,8 +101,8 @@ impl BasisCache {
     /// Drops one entry (failover invalidation: a basis that led a
     /// backend into the ladder must not seed the next solve of the same
     /// pattern). Returns whether an entry existed.
-    pub(crate) fn remove(&mut self, key: u64) -> bool {
-        self.map.remove(&key).is_some()
+    pub(crate) fn remove(&mut self, key: &K) -> bool {
+        self.map.remove(key).is_some()
     }
 
     pub(crate) fn clear(&mut self) {
@@ -153,7 +159,7 @@ impl SharedBasisCache {
 
     /// Looks up the basis cached for a sparsity-pattern hash.
     pub fn get(&self, key: u64) -> Option<Vec<usize>> {
-        self.lock().get(key)
+        self.lock().get(&key)
     }
 
     /// Stores the final basis for a pattern hash (LRU-bounded).
@@ -166,7 +172,7 @@ impl SharedBasisCache {
     /// store too: a basis that sent one request down the ladder must not
     /// seed the next request either).
     pub fn remove(&self, key: u64) {
-        if self.lock().remove(key) {
+        if self.lock().remove(&key) {
             self.dirty.fetch_add(1, Ordering::Relaxed);
         }
     }

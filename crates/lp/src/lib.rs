@@ -160,7 +160,7 @@ mod revised;
 mod simplex;
 mod solver;
 
-pub use cache::{SharedBasisCache, DEFAULT_SHARED_CACHE_CAPACITY};
+pub use cache::{BasisCache, SharedBasisCache, DEFAULT_SHARED_CACHE_CAPACITY};
 /// The process-wide SIMD kernel provenance string ([`LpStats`] footers
 /// embed it; re-exported so stats consumers one layer up don't need a
 /// direct `qava-linalg` dependency to label their own reports).

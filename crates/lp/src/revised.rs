@@ -140,21 +140,11 @@ impl<'a> Revised<'a> {
     fn refactor_checked(&mut self, b: &[f64], feas_tol: f64) -> bool {
         if !self.refactor(b) {
             self.wd_singular += 1;
-            if std::env::var_os("QAVA_LP_DEBUG_WATCHDOG").is_some() {
-                eprintln!("watchdog: refactor failed (singular basis), pivots={}", self.pivots);
-            }
             return false;
         }
         let ok = self.xb.iter().all(|&v| v >= -feas_tol);
         if !ok {
             self.wd_infeasible += 1;
-            if std::env::var_os("QAVA_LP_DEBUG_WATCHDOG").is_some() {
-                let min = self.xb.iter().cloned().fold(f64::INFINITY, f64::min);
-                eprintln!(
-                    "watchdog: min xb = {min:e} (tol {feas_tol:e}), pivots={}",
-                    self.pivots
-                );
-            }
         }
         ok
     }

@@ -348,8 +348,7 @@ pub struct LpStats {
     /// outmatched there.
     pub watchdog_restarts: usize,
     /// Watchdog trips whose cause was a refactorization failing outright
-    /// on a singular basis (the `watchdog_restarts` cause split;
-    /// formerly only visible as `QAVA_LP_DEBUG_WATCHDOG` prints).
+    /// on a singular basis (the `watchdog_restarts` cause split).
     pub watchdog_singular: usize,
     /// Watchdog trips whose cause was a refactorization exposing an
     /// infeasible (negative) `x_B`.
@@ -789,7 +788,7 @@ impl LpSolver {
     /// solve down the ladder must not seed the next solve of the same
     /// pattern in *any* session.
     fn invalidate_warm(&mut self, key: u64) {
-        self.cache.remove(key);
+        self.cache.remove(&key);
         if let Some(shared) = &self.shared {
             shared.remove(key);
         }
@@ -991,7 +990,7 @@ impl LpSolver {
         // dense tableau's whole point is a minimal per-solve fixed cost.
         let warm_capable = self.backends[idx].supports_warm_start();
         let key = if warm_capable { sa.pattern_hash() } else { 0 };
-        let mut warm = if warm_capable { self.cache.get(key) } else { None };
+        let mut warm = if warm_capable { self.cache.get(&key) } else { None };
         // Read-through to the process-wide store on a session miss. A
         // shared entry may come from another request — or from a spill
         // file on disk — so it gets a shape check a session entry never
@@ -1377,7 +1376,7 @@ mod tests {
         fn basis_cache_never_exceeds_capacity(
             ops in proptest::collection::vec((0u8..4u8, 0u8..8u8), 1..96),
         ) {
-            let mut cache = BasisCache::new(3);
+            let mut cache: BasisCache = BasisCache::new(3);
             for (op, k) in ops {
                 let key = u64::from(k);
                 match op {
@@ -1391,11 +1390,11 @@ mod tests {
                         );
                     }
                     1 => {
-                        cache.get(key);
+                        cache.get(&key);
                     }
                     // Failover invalidation path.
                     2 => {
-                        cache.remove(key);
+                        cache.remove(&key);
                     }
                     // Raw capacity change without the evict-down sweep
                     // `LpSolver::set_cache_capacity` performs — the

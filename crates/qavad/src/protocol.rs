@@ -35,9 +35,11 @@
 //! would round-trip 1e-300-scale numbers through denormals.
 //!
 //! Unknown request fields are ignored (forward compatibility); unknown
-//! `"cmd"` values, malformed JSON, and oversized lines are answered with
-//! `"ok":false` and the connection stays up — a client bug costs one
-//! request, not the session.
+//! `"cmd"` values and malformed JSON are answered with `"ok":false` and
+//! the connection stays up — a client bug costs one request, not the
+//! session. A line over [`MAX_LINE_BYTES`] is answered with one
+//! `"ok":false`, then the daemon closes the connection: it cannot tell
+//! where the next request would start.
 
 use crate::json::{obj, Json};
 use qava_core::suite::runner::{EngineRun, RowReport};

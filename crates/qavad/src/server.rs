@@ -5,9 +5,10 @@
 //!
 //! One [`Daemon`] owns the process state every request shares:
 //!
-//! * a **PTS store** — compiled programs keyed by a hash of
-//!   `(source, params, invariant_iters)`, so a suite row is compiled and
-//!   invariant-propagated once per daemon lifetime, not once per request;
+//! * a **PTS store** — compiled programs keyed by `(source, params,
+//!   invariant_iters)` itself, so a suite row is compiled and
+//!   invariant-propagated once per daemon lifetime and a hit is always
+//!   the requested program; an LRU bounds it at [`PTS_STORE_CAPACITY`];
 //! * the **shared warm-start basis cache** ([`SharedBasisCache`]) —
 //!   installed into every request's `LpSolver` sessions, spilled to the
 //!   configured cache file whenever a request dirtied it, and reloaded
@@ -22,13 +23,18 @@
 //!   slices (which partition session totals — pinned by a qava-core
 //!   concurrency test) are merged into certified/abandoned buckets.
 //!
-//! Each accepted connection gets a thread that reads one JSON-lines
-//! request at a time. During an analysis the connection's socket is
-//! watched by a small monitor: a client disconnect raises the request's
-//! cancel flag, every racing engine observes it at its next LP-solve
-//! boundary ([`qava_lp::LpError::Cancelled`]), and the admission permit
-//! is released — an abandoned request frees its worker in bounded time
-//! instead of running to completion for nobody.
+//! Each accepted connection gets a serving thread and one reader thread
+//! that owns the socket's read side for the connection's lifetime. The
+//! reader passes request lines (each capped at [`MAX_LINE_BYTES`]) to
+//! the serving loop through a channel a few lines deep, which bounds
+//! what a pipelining client can make the daemon buffer. On EOF or a
+//! socket error it marks the client gone and raises the cancel flag of
+//! the analysis in flight: every racing engine observes it at its next
+//! LP-solve boundary ([`qava_lp::LpError::Cancelled`]) and the admission
+//! permit is released, so an abandoned request frees its worker in
+//! bounded time. A request admitted after the client left starts
+//! cancelled. When the serving loop ends it shuts the socket down,
+//! which ends the reader too.
 
 use crate::json::{obj, parse, Json};
 use crate::protocol::{
@@ -37,15 +43,30 @@ use crate::protocol::{
 use qava_core::engine::{race_with, AnalysisRequest, EngineRegistry};
 use qava_core::suite::runner::EngineRun;
 use qava_core::EngineError;
-use qava_lp::{BackendChoice, LpSolver, LpStats, SharedBasisCache};
+use qava_lp::{BackendChoice, BasisCache, LpSolver, LpStats, SharedBasisCache};
 use qava_pts::Pts;
-use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Most compiled programs the PTS store keeps; the least recently used
+/// is evicted first. Far above the 36-row suite, while bounding what a
+/// stream of never-repeated programs can make a resident daemon hold.
+pub const PTS_STORE_CAPACITY: usize = 256;
+
+/// Depth of a connection's request queue: how many read-ahead lines a
+/// pipelining client can make the daemon hold while it is busy.
+const QUEUED_LINES: usize = 4;
+
+/// Everything that determines a compiled PTS: the source, each param's
+/// name and value bits, and the invariant-propagation rounds.
+type PtsKey = (String, Vec<(String, u64)>, usize);
 
 /// How the daemon is wired up; see the field docs for defaults.
 #[derive(Debug, Clone)]
@@ -122,7 +143,7 @@ struct Shared {
     config: DaemonConfig,
     registry: EngineRegistry,
     warm: Arc<SharedBasisCache>,
-    pts_store: Mutex<HashMap<u64, Arc<Pts>>>,
+    pts_store: Mutex<BasisCache<PtsKey, Arc<Pts>>>,
     gate: Gate,
     /// Merged certified LP work across all completed requests.
     totals: Mutex<LpStats>,
@@ -136,6 +157,23 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: DaemonConfig, warm: Arc<SharedBasisCache>, max_inflight: usize) -> Shared {
+        Shared {
+            gate: Gate::new(max_inflight),
+            registry: EngineRegistry::with_builtins(),
+            warm,
+            pts_store: Mutex::new(BasisCache::new(PTS_STORE_CAPACITY)),
+            totals: Mutex::new(LpStats::default()),
+            abandoned: Mutex::new(LpStats::default()),
+            requests: AtomicUsize::new(0),
+            disconnect_cancels: AtomicUsize::new(0),
+            pts_hits: AtomicUsize::new(0),
+            pts_misses: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            config,
+        }
+    }
+
     fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
         m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -191,23 +229,7 @@ impl Daemon {
         } else {
             config.max_inflight
         };
-        Ok(Daemon {
-            shared: Arc::new(Shared {
-                gate: Gate::new(max_inflight),
-                registry: EngineRegistry::with_builtins(),
-                warm,
-                pts_store: Mutex::new(HashMap::new()),
-                totals: Mutex::new(LpStats::default()),
-                abandoned: Mutex::new(LpStats::default()),
-                requests: AtomicUsize::new(0),
-                disconnect_cancels: AtomicUsize::new(0),
-                pts_hits: AtomicUsize::new(0),
-                pts_misses: AtomicUsize::new(0),
-                shutdown: AtomicBool::new(false),
-                config,
-            }),
-            listener,
-        })
+        Ok(Daemon { shared: Arc::new(Shared::new(config, warm, max_inflight)), listener })
     }
 
     /// Number of bases the persistent cache started with (restart-warmth
@@ -239,65 +261,43 @@ impl Daemon {
     }
 }
 
-/// Buffered line reader over a connection, with an explicit hand-back
-/// buffer: bytes a [`DisconnectMonitor`] drained off the socket while
-/// watching for departure (a pipelined next request) are appended via
-/// [`hand_back`](LineReader::hand_back) and consumed before any further
-/// socket reads, so no request byte is ever lost to monitoring.
-struct LineReader {
-    stream: UnixStream,
-    pending: Vec<u8>,
+/// What a connection's reader thread knows about the client's departure.
+/// `analyze` arms `cancel` after admission and disarms it after the run.
+#[derive(Default)]
+struct Departure {
+    /// The read side hit EOF or an error: the client is gone.
+    gone: bool,
+    /// Cancel flag of the analysis in flight, raised on departure.
+    cancel: Option<Arc<AtomicBool>>,
 }
 
-impl LineReader {
-    fn new(stream: UnixStream) -> LineReader {
-        LineReader { stream, pending: Vec::new() }
-    }
-
-    /// Queues bytes the monitor read ahead. Ordering is sound because
-    /// the monitor only runs while this reader is idle, and it always
-    /// reads *later* bytes than anything already pending.
-    fn hand_back(&mut self, bytes: &[u8]) {
-        self.pending.extend_from_slice(bytes);
-    }
-
-    /// Reads one `\n`-terminated line with a hard size cap, treating
-    /// read timeouts (a leftover `SO_RCVTIMEO` from the disconnect
-    /// monitor on the shared file description) as retries, not errors.
-    /// `Ok(None)` is EOF.
-    fn read_line(&mut self, cap: usize) -> std::io::Result<Option<String>> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let line = String::from_utf8_lossy(&self.pending[..pos]).into_owned();
-                self.pending.drain(..=pos);
-                return Ok(Some(line));
-            }
-            if self.pending.len() > cap {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("request line exceeds {cap} bytes"),
-                ));
-            }
-            match self.stream.read(&mut chunk) {
-                // EOF with a dangling unterminated fragment is still
-                // EOF: a vanished client has no request to answer.
-                Ok(0) => return Ok(None),
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(e),
-            }
-        }
+impl Departure {
+    /// Arms `cancel` for the reader to raise on departure. If the client
+    /// already left, raises it at once and returns `true`.
+    fn arm(&mut self, cancel: &Arc<AtomicBool>) -> bool {
+        cancel.store(self.gone, Ordering::SeqCst);
+        self.cancel = Some(cancel.clone());
+        self.gone
     }
 }
 
-fn write_response(stream: &mut UnixStream, doc: &Json) -> std::io::Result<()> {
+/// Reads one `\n`-terminated line of at most `cap` bytes. `Ok(None)` is
+/// EOF; a longer line is an [`ErrorKind::InvalidData`] error.
+fn read_line(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Option<String>> {
+    let mut line = Vec::new();
+    reader.take(cap as u64 + 1).read_until(b'\n', &mut line)?;
+    if line.pop() == Some(b'\n') {
+        return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
+    }
+    if line.len() < cap {
+        // EOF with or without a dangling unterminated fragment: a
+        // vanished client has no request to answer.
+        return Ok(None);
+    }
+    Err(std::io::Error::new(ErrorKind::InvalidData, format!("request line exceeds {cap} bytes")))
+}
+
+fn write_response(mut stream: &UnixStream, doc: &Json) -> std::io::Result<()> {
     let mut line = doc.render();
     line.push('\n');
     stream.write_all(line.as_bytes())
@@ -312,19 +312,62 @@ fn error_response(id: Option<usize>, message: &str) -> Json {
     obj(pairs)
 }
 
-fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut writer = stream;
-    let mut reader = LineReader::new(read_half);
+fn serve_connection(shared: &Shared, stream: UnixStream) {
+    let departure = &Mutex::new(Departure::default());
+    let (lines, requests) = sync_channel(QUEUED_LINES);
+    std::thread::scope(|s| {
+        s.spawn(|| read_requests(shared, &stream, lines, departure));
+        serve_requests(shared, &stream, requests, departure);
+        // Ends the reader with the connection: its blocked read returns,
+        // and a blocked send fails now that `requests` is dropped.
+        let _ = stream.shutdown(Shutdown::Both);
+    });
+}
+
+/// The connection's reader thread: forwards request lines until the
+/// client leaves or the serving loop stops listening, then reports the
+/// departure.
+fn read_requests(
+    shared: &Shared,
+    stream: &UnixStream,
+    lines: SyncSender<std::io::Result<String>>,
+    departure: &Mutex<Departure>,
+) {
+    let mut reader = BufReader::new(stream);
     loop {
-        // The disconnect monitor leaves a read timeout on the shared
-        // file description; blocking request reads want none.
-        let _ = writer.set_read_timeout(None);
-        let line = match reader.read_line(MAX_LINE_BYTES) {
-            Ok(Some(line)) => line,
-            Ok(None) => return, // client hung up between requests
+        match read_line(&mut reader, MAX_LINE_BYTES) {
+            Ok(Some(line)) => {
+                if lines.send(Ok(line)).is_err() {
+                    return; // the serving loop has ended
+                }
+            }
+            // The serving loop answers it once, then ends the connection.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                let _ = lines.send(Err(e));
+                return;
+            }
+            Ok(None) | Err(_) => break,
+        }
+    }
+    let mut departure = Shared::lock(departure);
+    departure.gone = true;
+    if let Some(cancel) = departure.cancel.take() {
+        cancel.store(true, Ordering::SeqCst);
+        shared.disconnect_cancels.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+fn serve_requests(
+    shared: &Shared,
+    writer: &UnixStream,
+    requests: Receiver<std::io::Result<String>>,
+    departure: &Mutex<Departure>,
+) {
+    for line in requests {
+        let line = match line {
+            Ok(line) => line,
             Err(e) => {
-                let _ = write_response(&mut writer, &error_response(None, &e.to_string()));
+                let _ = write_response(writer, &error_response(None, &e.to_string()));
                 return;
             }
         };
@@ -335,7 +378,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
             Ok(doc) => doc,
             Err(e) => {
                 let msg = format!("malformed request: {e}");
-                if write_response(&mut writer, &error_response(None, &msg)).is_err() {
+                if write_response(writer, &error_response(None, &msg)).is_err() {
                     return;
                 }
                 continue;
@@ -344,10 +387,10 @@ fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
         let response = match request.get("cmd").and_then(Json::as_str) {
             Some("hello") => hello_response(shared),
             Some("stats") => stats_response(shared),
-            Some("analyze") => analyze(shared, &request, &mut reader),
+            Some("analyze") => analyze(shared, &request, departure),
             Some("shutdown") => {
                 shared.maybe_spill();
-                let _ = write_response(&mut writer, &obj(vec![("ok", Json::Bool(true))]));
+                let _ = write_response(writer, &obj(vec![("ok", Json::Bool(true))]));
                 shared.shutdown.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so `run` observes the flag.
                 let _ = UnixStream::connect(&shared.config.socket);
@@ -356,7 +399,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
             Some(other) => error_response(None, &format!("unknown cmd \"{other}\"")),
             None => error_response(None, "request has no \"cmd\""),
         };
-        if write_response(&mut writer, &response).is_err() {
+        if write_response(writer, &response).is_err() {
             return; // client gone; nothing left to tell it
         }
     }
@@ -396,26 +439,6 @@ fn stats_response(shared: &Shared) -> Json {
     ])
 }
 
-/// FNV-1a over everything that determines a compiled PTS.
-fn pts_key(source: &str, params: &BTreeMap<String, f64>, invariant_iters: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(source.as_bytes());
-    eat(&[0xff]);
-    for (name, value) in params {
-        eat(name.as_bytes());
-        eat(&[0xfe]);
-        eat(&value.to_bits().to_le_bytes());
-    }
-    eat(&[0xff]);
-    eat(&(invariant_iters as u64).to_le_bytes());
-    h
-}
-
 /// Compile-once store: requests for an already-seen
 /// `(source, params, iters)` reuse the compiled, invariant-propagated
 /// PTS. `Arc` because racing engines borrow the program concurrently
@@ -426,8 +449,12 @@ fn compile_cached(
     params: &BTreeMap<String, f64>,
     invariant_iters: usize,
 ) -> Result<(Arc<Pts>, bool), String> {
-    let key = pts_key(source, params, invariant_iters);
-    if let Some(pts) = Shared::lock(&shared.pts_store).get(&key).cloned() {
+    let key: PtsKey = (
+        source.to_string(),
+        params.iter().map(|(name, value)| (name.clone(), value.to_bits())).collect(),
+        invariant_iters,
+    );
+    if let Some(pts) = Shared::lock(&shared.pts_store).get(&key) {
         shared.pts_hits.fetch_add(1, Ordering::SeqCst);
         return Ok((pts, true));
     }
@@ -438,84 +465,13 @@ fn compile_cached(
         qava_pts::propagate_invariants(&mut pts, invariant_iters);
     }
     let pts = Arc::new(pts);
-    // A concurrent request may have compiled the same program; keeping
-    // the first insert is fine (compilation is deterministic).
-    Shared::lock(&shared.pts_store).entry(key).or_insert_with(|| pts.clone());
+    // A concurrent request may have compiled the same program; either
+    // copy is fine (compilation is deterministic).
+    Shared::lock(&shared.pts_store).put(key, pts.clone());
     Ok((pts, false))
 }
 
-/// Watches a connection for client departure while an analysis runs.
-///
-/// Short-timeout reads on a cloned handle: EOF (or a hard socket error)
-/// means the client hung up → raise the request's cancel flag so every
-/// racer winds down at its next LP boundary. Actual bytes are a
-/// pipelined next request — stash them and hand them back to the
-/// connection's [`LineReader`] when the analysis finishes (the monitor
-/// is the *only* reader while it runs, so ordering is preserved).
-struct DisconnectMonitor {
-    done: Arc<AtomicBool>,
-    stash: Arc<Mutex<Vec<u8>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl DisconnectMonitor {
-    fn watch(stream: &UnixStream, cancel: Arc<AtomicBool>, shared: Arc<Shared>) -> Self {
-        let done = Arc::new(AtomicBool::new(false));
-        let stash = Arc::new(Mutex::new(Vec::new()));
-        let Ok(mut read_half) = stream.try_clone() else {
-            // No monitor: the analysis still runs, it just can't observe
-            // a disconnect early.
-            return DisconnectMonitor { done, stash, handle: None };
-        };
-        let flag = done.clone();
-        let pending = stash.clone();
-        let handle = std::thread::spawn(move || {
-            let _ = read_half.set_read_timeout(Some(Duration::from_millis(25)));
-            let mut chunk = [0u8; 4096];
-            while !flag.load(Ordering::SeqCst) {
-                match read_half.read(&mut chunk) {
-                    Ok(0) => {
-                        // EOF: the client is gone. Cancel and stop.
-                        if !cancel.swap(true, Ordering::SeqCst) {
-                            shared.disconnect_cancels.fetch_add(1, Ordering::SeqCst);
-                        }
-                        return;
-                    }
-                    Ok(n) => {
-                        // A pipelined next request; keep it for later.
-                        Shared::lock(&pending).extend_from_slice(&chunk[..n]);
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock
-                                | std::io::ErrorKind::TimedOut
-                                | std::io::ErrorKind::Interrupted
-                        ) => {}
-                    Err(_) => {
-                        // A broken socket is a departure too.
-                        if !cancel.swap(true, Ordering::SeqCst) {
-                            shared.disconnect_cancels.fetch_add(1, Ordering::SeqCst);
-                        }
-                        return;
-                    }
-                }
-            }
-        });
-        DisconnectMonitor { done, stash, handle: Some(handle) }
-    }
-
-    /// Stops watching and returns any read-ahead bytes, in order.
-    fn finish(mut self) -> Vec<u8> {
-        self.done.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        std::mem::take(&mut Shared::lock(&self.stash))
-    }
-}
-
-fn analyze(shared: &Arc<Shared>, request: &Json, reader: &mut LineReader) -> Json {
+fn analyze(shared: &Shared, request: &Json, departure: &Mutex<Departure>) -> Json {
     let id = request.get("id").and_then(Json::as_usize);
     shared.requests.fetch_add(1, Ordering::SeqCst);
 
@@ -571,14 +527,16 @@ fn analyze(shared: &Arc<Shared>, request: &Json, reader: &mut LineReader) -> Jso
     // Admission: one permit per analysis, released on every exit path.
     let permit = shared.gate.acquire();
     let cancel = Arc::new(AtomicBool::new(false));
-    let monitor = DisconnectMonitor::watch(&reader.stream, cancel.clone(), shared.clone());
+    if Shared::lock(departure).arm(&cancel) {
+        shared.disconnect_cancels.fetch_add(1, Ordering::SeqCst);
+    }
 
     let runs = if race {
         run_race(shared, &pts, &engine_names, deadline, backend, &cancel)
     } else {
         run_sequential(shared, &pts, &engine_names, deadline, backend, &cancel)
     };
-    reader.hand_back(&monitor.finish());
+    Shared::lock(departure).cancel = None;
     drop(permit);
 
     // Fold this request's slices into the process totals (the slices
@@ -784,20 +742,54 @@ mod tests {
         assert_eq!(*gate.inflight.lock().unwrap(), 0, "all permits returned");
     }
 
+    fn test_shared() -> Shared {
+        Shared::new(DaemonConfig::new("unbound.sock"), Arc::default(), 1)
+    }
+
+    /// A one-line program with a parameter `n`, made distinct by `i`.
+    fn program(i: usize) -> String {
+        format!("param n = 1; x := n + {i}; if prob(0.5) {{ assert false; }} else {{ exit; }}")
+    }
+
+    /// Compiles through the store, returning whether it was a hit.
+    fn hit(shared: &Shared, source: &str, n: Option<f64>, iters: usize) -> bool {
+        let params = n.map(|v| ("n".to_string(), v)).into_iter().collect();
+        compile_cached(shared, source, &params, iters).expect("compiles").1
+    }
+
     #[test]
-    fn pts_key_distinguishes_all_inputs() {
-        let mut params = BTreeMap::new();
-        params.insert("n".to_string(), 10.0);
-        let base = pts_key("x := 1;", &params, 8);
-        assert_eq!(base, pts_key("x := 1;", &params, 8), "deterministic");
-        assert_ne!(base, pts_key("x := 2;", &params, 8));
-        assert_ne!(base, pts_key("x := 1;", &params, 0));
-        let mut other = params.clone();
-        other.insert("k".to_string(), 1.0);
-        assert_ne!(base, pts_key("x := 1;", &other, 8));
-        let mut renamed = BTreeMap::new();
-        renamed.insert("m".to_string(), 10.0);
-        assert_ne!(base, pts_key("x := 1;", &renamed, 8));
+    fn pts_store_separates_params() {
+        let (shared, src) = (test_shared(), program(0));
+        assert!(!hit(&shared, &src, Some(40.0), 0));
+        assert!(!hit(&shared, &src, Some(41.0), 0), "other params, other program");
+        assert!(!hit(&shared, &src, None, 0), "no params is a program of its own");
+        assert!(hit(&shared, &src, Some(40.0), 0));
+        assert!(hit(&shared, &src, Some(41.0), 0));
+    }
+
+    #[test]
+    fn pts_store_separates_invariant_iters() {
+        let (shared, src) = (test_shared(), program(0));
+        assert!(!hit(&shared, &src, None, 0));
+        assert!(!hit(&shared, &src, None, 8), "other rounds, other program");
+        assert!(hit(&shared, &src, None, 0));
+        assert!(hit(&shared, &src, None, 8));
+    }
+
+    #[test]
+    fn pts_store_evicts_the_least_recently_used_program() {
+        let shared = test_shared();
+        for i in 0..PTS_STORE_CAPACITY {
+            assert!(!hit(&shared, &program(i), None, 0));
+        }
+        // Touching program 0 leaves program 1 the least recently used,
+        // so the capacity + 1st program evicts it.
+        assert!(hit(&shared, &program(0), None, 0));
+        assert!(!hit(&shared, &program(PTS_STORE_CAPACITY), None, 0));
+        let misses = shared.pts_misses.load(Ordering::SeqCst);
+        assert!(hit(&shared, &program(0), None, 0), "recently used program survives");
+        assert!(!hit(&shared, &program(1), None, 0), "least recently used program was evicted");
+        assert_eq!(shared.pts_misses.load(Ordering::SeqCst), misses + 1);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! cheap tests pin the failure modes: disconnect-cancellation freeing
 //! the single analysis slot, deadline expiry winding down as cancelled,
 //! corrupted cache files booting cold, and protocol-level rejection
-//! keeping the connection usable.
+//! keeping the connection usable. The connection tests pin pipelining,
+//! departure before the run, the line-size cap, and that a request pays
+//! no per-request wait.
 
 use qava_core::suite::runner::{default_engines, run_rows_with, RowReport};
 use qava_core::suite::{table1, table2, Benchmark};
@@ -17,7 +19,9 @@ use qava_lp::BackendChoice;
 use qavad::client::{run_suite_via_daemon, AnalyzeSpec, Client, SUITE_INVARIANT_ITERS};
 use qavad::json::Json;
 use qavad::server::{Daemon, DaemonConfig};
-use std::io::Write;
+use qavad::protocol::MAX_LINE_BYTES;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -60,6 +64,24 @@ fn shutdown(socket: &Path, handle: std::thread::JoinHandle<()>) {
 
 fn suite_rows() -> Vec<Benchmark> {
     table1().into_iter().chain(table2()).collect()
+}
+
+/// A raw `analyze` request line for a suite row (sequential mode, the
+/// suite's invariant rounds).
+fn analyze_line(id: usize, row: &Benchmark, engine: &str) -> String {
+    format!(
+        "{{\"cmd\":\"analyze\",\"id\":{id},\"source\":{},\"engines\":[\"{engine}\"],\"invariant_iters\":8,\"params\":{}}}\n",
+        Json::Str(row.source.to_string()).render(),
+        Json::Obj(row.params.iter().map(|(k, &v)| (k.clone(), Json::from_f64(v))).collect())
+            .render(),
+    )
+}
+
+/// Reads one response line off a raw connection and parses it.
+fn read_response(reader: &mut impl BufRead) -> Json {
+    let mut line = String::new();
+    assert!(reader.read_line(&mut line).expect("read response") > 0, "daemon hung up early");
+    qavad::json::parse(line.trim_end()).expect("response is JSON")
 }
 
 /// Asserts two suite runs certified identical outcomes: same engines in
@@ -366,6 +388,120 @@ fn protocol_errors_keep_the_connection_usable() {
 
     // Same connection, real request, still fine.
     client.hello().expect("connection survived the abuse");
+    drop(client);
+    shutdown(&socket, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pipelined requests in one write come back as one response each, in
+/// order.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let dir = scratch("pipeline");
+    let socket = dir.join("qavad.sock");
+    let handle = boot(DaemonConfig::new(&socket));
+    let quick = &suite_rows()[0];
+    let mut batch = analyze_line(1, quick, "hoeffding-linear");
+    batch.push_str(&analyze_line(2, quick, "hoeffding-linear"));
+    batch.push_str("{\"cmd\":\"stats\"}\n");
+    let stream = UnixStream::connect(&socket).expect("connect");
+    (&stream).write_all(batch.as_bytes()).expect("send the batch in one write");
+    let mut reader = BufReader::new(&stream);
+    for id in [1, 2] {
+        let response = read_response(&mut reader);
+        assert_eq!(response.get("id").and_then(Json::as_usize), Some(id));
+        assert_eq!(response.get("cancelled").and_then(Json::as_bool), Some(false));
+    }
+    let stats = read_response(&mut reader);
+    assert_eq!(stats.get("requests").and_then(Json::as_usize), Some(2));
+    drop(reader);
+    drop(stream);
+    shutdown(&socket, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that sends a request and closes its write half at once has
+/// left before the run: the request starts (or is soon) cancelled, and
+/// the answer still reaches the half-open connection. `hoeffding-linear`
+/// does all its work through LP solves, so it observes the flag however
+/// late the departure is seen; explinsyn's convex phase would not.
+#[test]
+fn departure_before_the_run_cancels() {
+    let dir = scratch("departure");
+    let socket = dir.join("qavad.sock");
+    let handle = boot(DaemonConfig::new(&socket));
+    let rows = suite_rows();
+    let heavy = rows.iter().find(|b| b.name == "3DWalk").expect("3DWalk row exists");
+    let stream = UnixStream::connect(&socket).expect("connect");
+    let request = analyze_line(3, heavy, "hoeffding-linear");
+    (&stream).write_all(request.as_bytes()).expect("send analyze");
+    stream.shutdown(Shutdown::Write).expect("close the write half");
+    let response = read_response(&mut BufReader::new(&stream));
+    assert_eq!(response.get("id").and_then(Json::as_usize), Some(3));
+    assert_eq!(response.get("cancelled").and_then(Json::as_bool), Some(true));
+    drop(stream);
+    let mut client = Client::connect(&socket).expect("stats client");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("disconnect_cancels").and_then(Json::as_usize), Some(1));
+    drop(client);
+    shutdown(&socket, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A line over [`MAX_LINE_BYTES`] gets one `ok:false` answer, then the
+/// daemon closes the connection.
+#[test]
+fn oversized_line_is_answered_once_then_closed() {
+    let dir = scratch("oversized");
+    let socket = dir.join("qavad.sock");
+    let handle = boot(DaemonConfig::new(&socket));
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    // The daemon may close before taking every byte; only its answer
+    // matters.
+    let _ = stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]);
+    let mut reader = BufReader::new(&stream);
+    let response = read_response(&mut reader);
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+    let error = response.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(error.contains("exceeds"), "{error}");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "nothing follows the one answer");
+    drop(reader);
+    drop(stream);
+    shutdown(&socket, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Serving a request costs the analysis and nothing else: no
+/// per-request poll or timeout stands between a result and its answer.
+#[test]
+fn serial_requests_pay_no_per_request_wait() {
+    let dir = scratch("serial");
+    let socket = dir.join("qavad.sock");
+    let handle = boot(DaemonConfig::new(&socket));
+    // About a millisecond of engine work in a debug build.
+    let tiny = "x := 0; if prob(0.5) { assert false; } else { exit; }";
+    let params = std::collections::BTreeMap::new();
+    let spec = |id| AnalyzeSpec {
+        id,
+        source: tiny,
+        params: &params,
+        engines: vec!["explinsyn".to_string()],
+        race: false,
+        deadline_ms: None,
+        invariant_iters: 0,
+        lp_backend: None,
+    };
+    let mut client = Client::connect(&socket).expect("client");
+    client.analyze(&spec(0)).expect("warm-up analysis");
+    let t0 = Instant::now();
+    for id in 1..=50 {
+        let response = client.analyze(&spec(id)).expect("tiny analysis");
+        assert!(response.runs[0].bound.is_ok(), "the coin flip certifies");
+    }
+    let elapsed = t0.elapsed();
+    assert!(elapsed < Duration::from_millis(500), "50 tiny analyses took {elapsed:?}");
     drop(client);
     shutdown(&socket, handle);
     let _ = std::fs::remove_dir_all(&dir);
