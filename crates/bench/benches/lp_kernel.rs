@@ -20,13 +20,22 @@
 //! dual-reoptimizes each successor from the previous final basis —
 //! the per-point LP cost a sweep actually pays.
 //!
-//! `bench_compare` holds every `lp/` benchmark to the hard ±25% gate
-//! (the suite benches stay warn-only), so a regression in any backend's
-//! kernel fails CI even on noisy shared runners.
+//! The `convex/kernel/*` rows time the ExpLinSyn log-barrier solve
+//! alone, on the Prspeed `Pr[T > 150]` and 3DWalk `(100, 100, 100)`
+//! programs: the line-search-bound shape (4 unknowns, thousands of
+//! backtracks) and the per-Newton-step-bound one (12 unknowns, dense
+//! Hessian work).
+//!
+//! `bench_compare` holds every `lp/` and `convex/` benchmark to the hard
+//! ±25% gate (the suite benches stay warn-only), so a regression in any
+//! backend's kernel fails CI even on noisy shared runners.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use qava_convex::SolverOptions;
+use qava_core::explinsyn::build_convex_program_in;
 use qava_core::hoeffding::{synthesize_reprsm_bound_in, BoundKind};
-use qava_core::suite::{coupon_rows, rdwalk_rows, walk3d_rows};
+use qava_core::suite::{coupon_rows, prspeed_rows, rdwalk_rows, walk3d_rows};
+use qava_core::template::TemplateSpace;
 use qava_linalg::kernel;
 use qava_lp::debug::update_solve_cycle;
 use qava_lp::{BackendChoice, CscMatrix, LpBackend, LpSolver, LuSimplex};
@@ -288,5 +297,31 @@ fn bench_sweep_chains(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_vecops, bench_lp_kernel, bench_basis_update, bench_sweep_chains);
+/// The convex barrier solve on its own: each program is built once,
+/// outside the timed loop, and every iteration runs
+/// `ConvexProblem::solve` from scratch.
+fn bench_convex(c: &mut Criterion) {
+    let mut group = c.benchmark_group("convex/kernel");
+    group.sample_size(10);
+    for (class, row) in [
+        ("prspeed_150", prspeed_rows().remove(0)),
+        ("3dwalk_100", walk3d_rows().remove(0)),
+    ] {
+        let pts = row.compile();
+        let space = TemplateSpace::new(&pts, false);
+        let problem = build_convex_program_in(&pts, &space, &mut LpSolver::new()).unwrap();
+        let opts = SolverOptions::default();
+        group.bench_function(class, |bench| bench.iter(|| problem.solve(&opts).unwrap()));
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_vecops,
+    bench_lp_kernel,
+    bench_basis_update,
+    bench_sweep_chains,
+    bench_convex
+);
 criterion_main!(benches);

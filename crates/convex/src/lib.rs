@@ -21,8 +21,12 @@
 //! The solver is a standard **log-barrier path-following interior-point
 //! method**: a phase-I problem (minimize the slack shift `s` with every term
 //! multiplied by `e^{-s}`) finds a strictly feasible point, then damped
-//! Newton steps with equality-constrained KKT systems follow the central
-//! path. This replaces the CVX/Matlab stack used by the paper's prototype.
+//! Newton steps follow the central path. The equalities `E·x = f` never
+//! enter a KKT system: every step is taken in `null(E)`, as `dx = Z·du`
+//! for a nullspace basis `Z`, so they hold exactly along the whole path.
+//! [`ConvexProblem::solve_until`] checks a caller's stop condition once per
+//! Newton step. This replaces the CVX/Matlab stack used by the paper's
+//! prototype.
 //!
 //! # Examples
 //!
@@ -92,33 +96,17 @@ impl ExpTerm {
 
     /// The log of the term value at `x` (without the phase-I shift).
     pub(crate) fn log_value(&self, x: &[f64]) -> f64 {
-        let mut rho = self.weight.ln() + vecops::dot(&self.lin, x) + self.constant;
+        self.log_value_with(self.weight.ln(), x)
+    }
+
+    /// [`Self::log_value`] with `ln w` supplied by a caller that took it
+    /// once for many evaluations.
+    pub(crate) fn log_value_with(&self, ln_w: f64, x: &[f64]) -> f64 {
+        let mut rho = ln_w + vecops::dot(&self.lin, x) + self.constant;
         for f in &self.uniform_factors {
             rho += f.mgf.log_value(vecops::dot(&f.lin, x) + f.constant);
         }
         rho
-    }
-
-    /// Gradient of the log of the term value.
-    pub(crate) fn log_gradient(&self, x: &[f64]) -> Vec<f64> {
-        let mut g = self.lin.clone();
-        for f in &self.uniform_factors {
-            let t = vecops::dot(&f.lin, x) + f.constant;
-            vecops::axpy(f.mgf.dlog(t), &f.lin, &mut g);
-        }
-        g
-    }
-
-    /// Second-derivative data: `(curvature, direction)` pairs contributing
-    /// `curvature · dir·dirᵀ` to the Hessian of the log of the term.
-    pub(crate) fn log_curvatures<'a>(&'a self, x: &[f64]) -> Vec<(f64, &'a [f64])> {
-        self.uniform_factors
-            .iter()
-            .map(|f| {
-                let t = vecops::dot(&f.lin, x) + f.constant;
-                (f.mgf.d2log(t), f.lin.as_slice())
-            })
-            .collect()
     }
 }
 
@@ -186,6 +174,32 @@ impl std::fmt::Display for ConvexError {
 
 impl std::error::Error for ConvexError {}
 
+/// Errors from [`ConvexProblem::solve_until`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SolveUntilError {
+    /// The solve ended in a [`ConvexError`].
+    Solver(ConvexError),
+    /// The stop condition held at the start of a Newton step.
+    Cancelled,
+}
+
+impl From<ConvexError> for SolveUntilError {
+    fn from(e: ConvexError) -> Self {
+        SolveUntilError::Solver(e)
+    }
+}
+
+impl std::fmt::Display for SolveUntilError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolveUntilError::Solver(e) => e.fmt(f),
+            SolveUntilError::Cancelled => write!(f, "convex solve cancelled"),
+        }
+    }
+}
+
+impl std::error::Error for SolveUntilError {}
+
 /// Result of a successful solve.
 #[derive(Debug, Clone)]
 pub struct ConvexSolution {
@@ -197,8 +211,14 @@ pub struct ConvexSolution {
     /// problem is (numerically) unbounded below — for bound synthesis this
     /// reads as "the violation probability bound is effectively zero".
     pub floored: bool,
-    /// Total Newton iterations across the barrier path.
+    /// Newton iterations of phase II, the central path of the real
+    /// objective. Phase I's are in `phase_one_iterations`.
     pub newton_iterations: usize,
+    /// Newton iterations of phase I, the search for a strictly feasible
+    /// point (0 when there are no constraints).
+    pub phase_one_iterations: usize,
+    /// Rejected line-search candidates (step halvings), both phases.
+    pub backtracks: usize,
 }
 
 /// Tuning knobs for the interior-point solver.
@@ -309,7 +329,27 @@ impl ConvexProblem {
     /// [`ConvexError::Infeasible`] when phase I cannot find a strictly
     /// feasible point; [`ConvexError::NumericalFailure`] when Newton stalls.
     pub fn solve(&self, opts: &SolverOptions) -> Result<ConvexSolution, ConvexError> {
-        solver::solve(self, opts)
+        self.solve_until(opts, &|| false).map_err(|e| match e {
+            SolveUntilError::Solver(e) => e,
+            SolveUntilError::Cancelled => unreachable!("a solve that never stops was cancelled"),
+        })
+    }
+
+    /// [`Self::solve`], checking `stop` at the start of every Newton step
+    /// of both phases (never inside a line search), so a raised stop
+    /// condition ends the solve within one step.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveUntilError::Cancelled`] when `stop` returns `true`;
+    /// otherwise the errors of [`Self::solve`], wrapped in
+    /// [`SolveUntilError::Solver`].
+    pub fn solve_until(
+        &self,
+        opts: &SolverOptions,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<ConvexSolution, SolveUntilError> {
+        solver::solve(self, opts, stop)
     }
 
     pub(crate) fn objective_ref(&self) -> &[f64] {

@@ -1,6 +1,9 @@
 //! Log-barrier path-following with equality-constrained Newton centering.
 
-use crate::{ConvexError, ConvexProblem, ConvexSolution, ExpSumConstraint, SolverOptions};
+use crate::{
+    ConvexError, ConvexProblem, ConvexSolution, ExpSumConstraint, ExpTerm, SolveUntilError,
+    SolverOptions,
+};
 use qava_linalg::{vecops, Matrix};
 
 /// Maximum outer (barrier-parameter) iterations.
@@ -10,9 +13,13 @@ const NEWTON_TOL: f64 = 1e-10;
 /// Armijo sufficient-decrease coefficient for the backtracking line search.
 const ARMIJO: f64 = 0.01;
 
-pub(crate) fn solve(p: &ConvexProblem, opts: &SolverOptions) -> Result<ConvexSolution, ConvexError> {
+pub(crate) fn solve(
+    p: &ConvexProblem,
+    opts: &SolverOptions,
+    stop: &dyn Fn() -> bool,
+) -> Result<ConvexSolution, SolveUntilError> {
     let (scaled, col_scale) = rescale_columns(&presolve(p)?);
-    let mut sol = solve_scaled(&scaled, opts)?;
+    let mut sol = solve_scaled(&scaled, opts, stop)?;
     for (xj, s) in sol.x.iter_mut().zip(&col_scale) {
         *xj *= s;
     }
@@ -78,7 +85,11 @@ fn rescale_columns(p: &ConvexProblem) -> (ConvexProblem, Vec<f64>) {
     (out, col_scale)
 }
 
-fn solve_scaled(p: &ConvexProblem, opts: &SolverOptions) -> Result<ConvexSolution, ConvexError> {
+fn solve_scaled(
+    p: &ConvexProblem,
+    opts: &SolverOptions,
+    stop: &dyn Fn() -> bool,
+) -> Result<ConvexSolution, SolveUntilError> {
     let n = p.num_vars();
 
     // Point satisfying the equality constraints (least squares; exact when
@@ -104,27 +115,29 @@ fn solve_scaled(p: &ConvexProblem, opts: &SolverOptions) -> Result<ConvexSolutio
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         if resid > 1e-6 {
-            return Err(ConvexError::Infeasible);
+            return Err(ConvexError::Infeasible.into());
         }
         x
     };
 
     // ---- Phase I: find a strictly feasible point. ----
-    let x0 = if p.constraints_ref().is_empty() {
-        x_eq.clone()
+    let (x0, phase_one) = if p.constraints_ref().is_empty() {
+        (x_eq.clone(), None)
     } else {
-        phase_one(p, &x_eq, opts)?
+        let (x0, run) = phase_one(p, &x_eq, opts, stop)?;
+        (x0, Some(run))
     };
 
     // ---- Phase II: follow the central path for the real objective. ----
-    let eq: Vec<(Vec<f64>, f64)> = p.equalities_ref().to_vec();
-    let run = barrier(p.objective_ref(), p.constraints_ref(), &eq, x0, opts)?;
+    let run = barrier(p.objective_ref(), p.constraints_ref(), p.equalities_ref(), x0, opts, stop)?;
     let objective = vecops::dot(p.objective_ref(), &run.x);
     Ok(ConvexSolution {
         x: run.x,
         objective,
         floored: run.floored,
         newton_iterations: run.newton_iterations,
+        phase_one_iterations: phase_one.as_ref().map_or(0, |r| r.newton_iterations),
+        backtracks: run.backtracks + phase_one.map_or(0, |r| r.backtracks),
     })
 }
 
@@ -262,7 +275,13 @@ fn presolve(p: &ConvexProblem) -> Result<ConvexProblem, ConvexError> {
 
 /// Finds a strictly feasible point by minimizing the shift `s` in
 /// `g_i(x)·e^{-s} ≤ 1`, starting from an `s` large enough to be interior.
-fn phase_one(p: &ConvexProblem, x_eq: &[f64], opts: &SolverOptions) -> Result<Vec<f64>, ConvexError> {
+/// Returns the point with the phase-I central path's run.
+fn phase_one(
+    p: &ConvexProblem,
+    x_eq: &[f64],
+    opts: &SolverOptions,
+    stop: &dyn Fn() -> bool,
+) -> Result<(Vec<f64>, BarrierRun), SolveUntilError> {
     let n = p.num_vars();
     let mut shifted: Vec<ExpSumConstraint> = Vec::with_capacity(p.num_constraints() + 1);
     let mut worst_log = f64::NEG_INFINITY;
@@ -314,12 +333,12 @@ fn phase_one(p: &ConvexProblem, x_eq: &[f64], opts: &SolverOptions) -> Result<Ve
     let mut p1_opts = opts.clone();
     p1_opts.obj_floor = -0.9; // any strictly negative s suffices
     p1_opts.tol = 1e-6;
-    let run = barrier(&obj, &shifted, &eq, z0, &p1_opts)?;
+    let run = barrier(&obj, &shifted, &eq, z0, &p1_opts, stop)?;
     let s = run.x[n];
     if s < -1e-6 {
-        Ok(run.x[..n].to_vec())
+        Ok((run.x[..n].to_vec(), run))
     } else {
-        Err(ConvexError::Infeasible)
+        Err(ConvexError::Infeasible.into())
     }
 }
 
@@ -327,39 +346,179 @@ struct BarrierRun {
     x: Vec<f64>,
     floored: bool,
     newton_iterations: usize,
+    backtracks: usize,
 }
 
-/// One full central path: minimize `t·c·x − Σ ln(1 − g_i(x))` for growing `t`.
+/// One term of a constraint as the barrier loop reads it: `ln w` is taken
+/// once per central path instead of at every evaluation.
+struct Term<'a> {
+    ln_w: f64,
+    term: &'a ExpTerm,
+}
+
+/// The constraints of one central path, term by term.
+fn barrier_view(constraints: &[ExpSumConstraint]) -> Vec<Vec<Term<'_>>> {
+    constraints
+        .iter()
+        .map(|c| c.terms.iter().map(|term| Term { ln_w: term.weight.ln(), term }).collect())
+        .collect()
+}
+
+/// `Σ_m term_m(x)`, `+∞` if any exponent overflows — the operations of
+/// [`ExpSumConstraint::eval`].
+fn eval(terms: &[Term<'_>], x: &[f64]) -> f64 {
+    terms
+        .iter()
+        .map(|t| {
+            let rho = t.term.log_value_with(t.ln_w, x);
+            if rho > 700.0 {
+                f64::INFINITY
+            } else {
+                rho.exp()
+            }
+        })
+        .sum()
+}
+
+/// The barrier value `t·c·x − Σ ln(1 − g_i(x))`, or `None` when `x` is not
+/// strictly feasible. One pass: each constraint is evaluated once, and the
+/// first one at or past the boundary ends it.
+fn barrier_value(t: f64, objective: &[f64], constraints: &[Vec<Term<'_>>], x: &[f64]) -> Option<f64> {
+    let mut v = t * vecops::dot(objective, x);
+    for c in constraints {
+        let g = eval(c, x);
+        if g < 1.0 - 1e-12 {
+            v -= (1.0 - g).ln();
+        } else {
+            return None; // at or past the boundary, or NaN
+        }
+    }
+    Some(v)
+}
+
+/// Buffers of one central path, sized once and overwritten at every
+/// Newton step.
+struct Workspace {
+    /// Barrier gradient.
+    grad: Vec<f64>,
+    /// Barrier Hessian.
+    hess: Matrix,
+    /// Gradient of the current constraint's `g`.
+    dg: Vec<f64>,
+    /// Arguments `t_k(x)` of the current term's MGF factors.
+    args: Vec<f64>,
+    /// Rank-one pieces of the current constraint's `∇²g`: weights, and
+    /// their directions laid end to end, `n` entries each.
+    piece_weights: Vec<f64>,
+    piece_dirs: Vec<f64>,
+    /// Augmented reduced Newton system `[ZᵀHZ + ridge | −Zᵀ∇]`.
+    aug: Matrix,
+    /// Newton direction.
+    dx: Vec<f64>,
+    /// Line-search candidate.
+    cand: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(n: usize, k: usize) -> Self {
+        Workspace {
+            grad: vec![0.0; n],
+            hess: Matrix::zeros(n, n),
+            dg: vec![0.0; n],
+            args: Vec::new(),
+            piece_weights: Vec::new(),
+            piece_dirs: Vec::new(),
+            aug: Matrix::zeros(k, k + 1),
+            dx: vec![0.0; n],
+            cand: vec![0.0; n],
+        }
+    }
+}
+
+/// A basis `Z` of `null(E)` for equality rows `E`, with the buffers of
+/// the products through it.
+struct Nullspace {
+    z: Matrix,
+    zt: Matrix,
+    /// `Zᵀ·∇`.
+    grad_u: Vec<f64>,
+    /// `H·Z`.
+    hz: Matrix,
+    /// `Zᵀ·H·Z`.
+    hu: Matrix,
+    /// Reduced step `du`, with `dx = Z·du`.
+    du: Vec<f64>,
+}
+
+impl Nullspace {
+    fn new(equalities: &[(Vec<f64>, f64)], n: usize) -> Self {
+        let mut e = Matrix::zeros(0, 0);
+        for (row, _) in equalities {
+            e.push_row(row);
+        }
+        let basis = e.nullspace();
+        let k = basis.len();
+        let mut z = Matrix::zeros(n, k);
+        for (j, v) in basis.iter().enumerate() {
+            for i in 0..n {
+                z[(i, j)] = v[i];
+            }
+        }
+        Nullspace {
+            zt: z.transpose(),
+            z,
+            grad_u: vec![0.0; k],
+            hz: Matrix::zeros(n, k),
+            hu: Matrix::zeros(k, k),
+            du: vec![0.0; k],
+        }
+    }
+}
+
+/// One full central path: minimize `t·c·x − Σ ln(1 − g_i(x))` for growing
+/// `t`, polling `stop` once per Newton step.
 fn barrier(
     objective: &[f64],
     constraints: &[ExpSumConstraint],
     equalities: &[(Vec<f64>, f64)],
     mut x: Vec<f64>,
     opts: &SolverOptions,
-) -> Result<BarrierRun, ConvexError> {
+    stop: &dyn Fn() -> bool,
+) -> Result<BarrierRun, SolveUntilError> {
     let n = x.len();
     let m = constraints.len().max(1);
+    let cons = barrier_view(constraints);
     let mut t = 1.0;
     let mut newton_total = 0usize;
+    let mut backtracks = 0usize;
     let mut floored = false;
 
-    debug_assert!(strictly_feasible(constraints, &x), "barrier started outside the interior");
+    debug_assert!(
+        barrier_value(t, objective, &cons, &x).is_some(),
+        "barrier started outside the interior"
+    );
 
     // Reduced-space handling of equalities: steps live in null(E), i.e.
     // dx = Z·du, which keeps E·x = f satisfied exactly — no KKT drift.
-    let z = nullspace_basis(equalities, n);
-    if z.cols() == 0 {
+    // Without equality rows Z is the identity and is never formed.
+    let mut null = (!equalities.is_empty()).then(|| Nullspace::new(equalities, n));
+    let k = null.as_ref().map_or(n, |ns| ns.z.cols());
+    if k == 0 {
         // Equalities pin x completely; the start point is the only candidate.
-        return Ok(BarrierRun { x, floored: false, newton_iterations: 0 });
+        return Ok(BarrierRun { x, floored: false, newton_iterations: 0, backtracks: 0 });
     }
+    let mut ws = Workspace::new(n, k);
 
     for _outer in 0..MAX_OUTER {
         // ---- Newton centering for the current t. ----
         for _ in 0..opts.max_newton {
+            if stop() {
+                return Err(SolveUntilError::Cancelled);
+            }
             newton_total += 1;
-            let (val, grad, hess) = barrier_derivatives(t, objective, constraints, &x);
-            let dx = reduced_newton_step(&z, &hess, &grad)?;
-            let decrement = -vecops::dot(&grad, &dx);
+            let val = barrier_derivatives(t, objective, &cons, &x, &mut ws);
+            reduced_newton_step(null.as_mut(), &mut ws)?;
+            let decrement = -vecops::dot(&ws.grad, &ws.dx);
             if decrement / 2.0 < NEWTON_TOL {
                 break;
             }
@@ -367,16 +526,16 @@ fn barrier(
             let mut step = 1.0;
             let mut moved = false;
             while step > 1e-13 {
-                let mut cand = x.clone();
-                vecops::axpy(step, &dx, &mut cand);
-                if strictly_feasible(constraints, &cand) {
-                    let cand_val = barrier_value(t, objective, constraints, &cand);
+                ws.cand.copy_from_slice(&x);
+                vecops::axpy(step, &ws.dx, &mut ws.cand);
+                if let Some(cand_val) = barrier_value(t, objective, &cons, &ws.cand) {
                     if cand_val <= val - ARMIJO * step * decrement {
-                        x = cand;
+                        std::mem::swap(&mut x, &mut ws.cand);
                         moved = true;
                         break;
                     }
                 }
+                backtracks += 1;
                 step *= 0.5;
             }
             if !moved {
@@ -389,59 +548,68 @@ fn barrier(
         }
 
         if floored || vecops::dot(objective, &x) < opts.obj_floor {
-            return Ok(BarrierRun { x, floored: true, newton_iterations: newton_total });
+            return Ok(BarrierRun { x, floored: true, newton_iterations: newton_total, backtracks });
         }
         if m as f64 / t < opts.tol {
-            return Ok(BarrierRun { x, floored: false, newton_iterations: newton_total });
+            return Ok(BarrierRun { x, floored: false, newton_iterations: newton_total, backtracks });
         }
         t *= opts.mu;
     }
-    Ok(BarrierRun { x, floored, newton_iterations: newton_total })
+    Ok(BarrierRun { x, floored, newton_iterations: newton_total, backtracks })
 }
 
-fn strictly_feasible(constraints: &[ExpSumConstraint], x: &[f64]) -> bool {
-    constraints.iter().all(|c| c.eval(x) < 1.0 - 1e-12)
-}
-
-fn barrier_value(t: f64, objective: &[f64], constraints: &[ExpSumConstraint], x: &[f64]) -> f64 {
-    let mut v = t * vecops::dot(objective, x);
-    for c in constraints {
-        v -= (1.0 - c.eval(x)).ln();
-    }
-    v
-}
-
-/// Value, gradient and Hessian of the barrier function at `x`.
+/// Value of the barrier function at `x`, with its gradient and Hessian
+/// written to `ws.grad` and `ws.hess`.
 fn barrier_derivatives(
     t: f64,
     objective: &[f64],
-    constraints: &[ExpSumConstraint],
+    constraints: &[Vec<Term<'_>>],
     x: &[f64],
-) -> (f64, Vec<f64>, Matrix) {
+    ws: &mut Workspace,
+) -> f64 {
     let n = x.len();
-    let mut grad = vecops::scale(t, objective);
-    let mut hess = Matrix::zeros(n, n);
+    ws.grad.copy_from_slice(objective);
+    vecops::scale_in_place(t, &mut ws.grad);
+    for i in 0..n {
+        ws.hess.row_mut(i).fill(0.0);
+    }
     let mut value = t * vecops::dot(objective, x);
 
     for c in constraints {
         let mut g = 0.0;
-        let mut dg = vec![0.0; n];
-        // Hessian of g accumulated directly into `hess` after scaling, so
-        // gather rank-one pieces first.
-        let mut pieces: Vec<(f64, Vec<f64>)> = Vec::new();
-        for term in &c.terms {
-            let rho = term.log_value(x);
+        ws.dg.fill(0.0);
+        // The Hessian of g is accumulated into `hess` after scaling by the
+        // slack, so gather its rank-one pieces first.
+        ws.piece_weights.clear();
+        ws.piece_dirs.clear();
+        for &Term { ln_w, term } in c {
+            let factors = &term.uniform_factors;
+            ws.args.clear();
+            ws.args.extend(factors.iter().map(|f| vecops::dot(&f.lin, x) + f.constant));
+            let mut rho = ln_w + vecops::dot(&term.lin, x) + term.constant;
+            for (f, &arg) in factors.iter().zip(&ws.args) {
+                rho += f.mgf.log_value(arg);
+            }
             if rho < -300.0 {
                 continue; // numerically zero term
             }
             let tv = rho.exp();
-            let lg = term.log_gradient(x);
+            // Gradient of the term's log: lin + Σ_k (log φ_k)'·lin_k.
+            let start = ws.piece_dirs.len();
+            ws.piece_dirs.extend_from_slice(&term.lin);
+            let lg = &mut ws.piece_dirs[start..];
+            for (f, &arg) in factors.iter().zip(&ws.args) {
+                vecops::axpy(f.mgf.dlog(arg), &f.lin, lg);
+            }
             g += tv;
-            vecops::axpy(tv, &lg, &mut dg);
-            pieces.push((tv, lg.clone()));
-            for (curv, dir) in term.log_curvatures(x) {
+            vecops::axpy(tv, lg, &mut ws.dg);
+            ws.piece_weights.push(tv);
+            // Curvature of the term's log: Σ_k (log φ_k)''·lin_k·lin_kᵀ.
+            for (f, &arg) in factors.iter().zip(&ws.args) {
+                let curv = f.mgf.d2log(arg);
                 if curv > 0.0 {
-                    pieces.push((tv * curv, dir.to_vec()));
+                    ws.piece_weights.push(tv * curv);
+                    ws.piece_dirs.extend_from_slice(&f.lin);
                 }
             }
         }
@@ -449,14 +617,14 @@ fn barrier_derivatives(
         debug_assert!(slack > 0.0, "derivative evaluation outside interior");
         value -= slack.ln();
         // ∇(−ln(1−g)) = ∇g / (1−g)
-        vecops::axpy(1.0 / slack, &dg, &mut grad);
+        vecops::axpy(1.0 / slack, &ws.dg, &mut ws.grad);
         // ∇² = ∇g∇gᵀ/(1−g)² + ∇²g/(1−g)
-        rank_one_update(&mut hess, 1.0 / (slack * slack), &dg);
-        for (w, dir) in &pieces {
-            rank_one_update(&mut hess, w / slack, dir);
+        rank_one_update(&mut ws.hess, 1.0 / (slack * slack), &ws.dg);
+        for (w, dir) in ws.piece_weights.iter().zip(ws.piece_dirs.chunks_exact(n)) {
+            rank_one_update(&mut ws.hess, w / slack, dir);
         }
     }
-    (value, grad, hess)
+    value
 }
 
 /// `h += w · v·vᵀ`.
@@ -464,59 +632,66 @@ fn rank_one_update(h: &mut Matrix, w: f64, v: &[f64]) {
     if w == 0.0 {
         return;
     }
-    let n = v.len();
-    for i in 0..n {
-        if v[i] == 0.0 {
+    for (i, &vi) in v.iter().enumerate() {
+        if vi == 0.0 {
             continue;
         }
-        let wi = w * v[i];
-        for j in 0..n {
-            h[(i, j)] += wi * v[j];
+        let wi = w * vi;
+        for (hij, &vj) in h.row_mut(i).iter_mut().zip(v) {
+            *hij += wi * vj;
         }
     }
 }
 
-/// Columns spanning `null(E)` as a matrix `Z` (the identity when there are
-/// no equality rows).
-fn nullspace_basis(equalities: &[(Vec<f64>, f64)], n: usize) -> Matrix {
-    if equalities.is_empty() {
-        return Matrix::identity(n);
-    }
-    let mut e = Matrix::zeros(0, 0);
-    for (row, _) in equalities {
-        e.push_row(row);
-    }
-    let basis = e.nullspace();
-    let mut z = Matrix::zeros(n, basis.len());
-    for (k, v) in basis.iter().enumerate() {
-        for i in 0..n {
-            z[(i, k)] = v[i];
+/// Newton step in the reduced space: solve `(ZᵀHZ + ridge)·du = −Zᵀ∇`
+/// and write `dx = Z·du` to `ws.dx`, escalating regularization until the
+/// step is a descent direction. With no equality rows (`Z = I`) the
+/// products through `Z` are skipped: they would multiply by 0 and 1 only,
+/// which is exact, so the step is the same to the bit.
+fn reduced_newton_step(null: Option<&mut Nullspace>, ws: &mut Workspace) -> Result<(), ConvexError> {
+    let (hu, grad_u, mut z_du) = match null {
+        Some(Nullspace { z, zt, grad_u, hz, hu, du }) => {
+            grad_u.fill(0.0);
+            for (i, &gi) in ws.grad.iter().enumerate() {
+                vecops::axpy(gi, z.row(i), grad_u);
+            }
+            ws.hess.mul_into(z, hz);
+            zt.mul_into(hz, hu);
+            (&*hu, grad_u.as_slice(), Some((&*z, du)))
         }
-    }
-    z
-}
-
-/// Newton step in the reduced space: solve `(ZᵀHZ + ridge)·du = −Zᵀgrad`
-/// and return `dx = Z·du`, escalating regularization until the step is a
-/// descent direction.
-fn reduced_newton_step(z: &Matrix, hess: &Matrix, grad: &[f64]) -> Result<Vec<f64>, ConvexError> {
-    let k = z.cols();
-    let grad_u = z.mul_vec_transposed(grad);
-    let hz = hess.mul(z);
-    let hu = z.transpose().mul(&hz);
+        None => (&ws.hess, ws.grad.as_slice(), None),
+    };
+    let k = hu.cols();
+    let scale = (0..k).map(|i| hu[(i, i)].abs()).fold(1.0, f64::max);
     for attempt in 0..8 {
         let ridge = 1e-9 * 10f64.powi(attempt * 2);
-        let mut m = hu.clone();
-        let scale = (0..k).map(|i| m[(i, i)].abs()).fold(1.0, f64::max);
         for i in 0..k {
-            m[(i, i)] += ridge * scale;
+            let row = ws.aug.row_mut(i);
+            row[..k].copy_from_slice(hu.row(i));
+            row[i] += ridge * scale;
+            row[k] = -grad_u[i];
         }
-        if let Some(du) = m.solve(&vecops::scale(-1.0, &grad_u)) {
-            let dx = z.mul_vec(&du);
-            // The step must be a descent direction; otherwise re-regularize.
-            if vecops::dot(grad, &dx) <= 0.0 {
-                return Ok(dx);
+        if ws.aug.row_echelon().len() < k {
+            continue;
+        }
+        match &mut z_du {
+            Some((z, du)) => {
+                for (i, d) in du.iter_mut().enumerate() {
+                    *d = ws.aug[(i, k)];
+                }
+                for (i, d) in ws.dx.iter_mut().enumerate() {
+                    *d = vecops::dot(z.row(i), du);
+                }
             }
+            None => {
+                for (i, d) in ws.dx.iter_mut().enumerate() {
+                    *d = ws.aug[(i, k)];
+                }
+            }
+        }
+        // The step must be a descent direction; otherwise re-regularize.
+        if vecops::dot(&ws.grad, &ws.dx) <= 0.0 {
+            return Ok(());
         }
     }
     Err(ConvexError::NumericalFailure("reduced Newton system unsolvable".into()))
@@ -621,15 +796,14 @@ mod tests {
         assert!(sol.x[0].abs() < 1e-4, "got {}", sol.x[0]);
     }
 
-    #[test]
-    fn race_loop_constraint_shape() {
-        // The tortoise-hare loop constraint at the generator (99,99) with
-        // objective 40·a1 + c (Section 3.1 of the paper), but collapsed to
-        // the one-location form: minimize 40 a1 + 0 a2 + c subject to
-        //   0.5 e^{a1 + 2 a2} + 0.5 e^{a1} <= 1      (loop body)
-        //   e^{-(99 a1 + 100 a2 + c)} <= 1           (violation transition)
-        //   a1 <= 0, a2 >= 0 handled by recession-cone rows:
-        //   a1 <= 0 and -a2 <= 0 as linear rows.
+    /// The tortoise-hare loop constraint at the generator (99,99) with
+    /// objective 40·a1 + c (Section 3.1 of the paper), but collapsed to
+    /// the one-location form: minimize 40 a1 + 0 a2 + c subject to
+    ///   0.5 e^{a1 + 2 a2} + 0.5 e^{a1} <= 1      (loop body)
+    ///   e^{-(99 a1 + 100 a2 + c)} <= 1           (violation transition)
+    ///   a1 <= 0, a2 >= 0 handled by recession-cone rows:
+    ///   a1 <= 0 and -a2 <= 0 as linear rows.
+    fn race_loop_problem() -> ConvexProblem {
         let mut p = ConvexProblem::new(3);
         p.set_objective(vec![40.0, 0.0, 1.0]);
         p.add_constraint(ExpSumConstraint::new(vec![
@@ -643,6 +817,12 @@ mod tests {
         )]));
         p.add_constraint(ExpSumConstraint::linear(vec![1.0, 0.0, 0.0], 0.0));
         p.add_constraint(ExpSumConstraint::linear(vec![0.0, -1.0, 0.0], 0.0));
+        p
+    }
+
+    #[test]
+    fn race_loop_constraint_shape() {
+        let p = race_loop_problem();
         let sol = p.solve(&opts()).unwrap();
         assert!(p.is_feasible(&sol.x, 1e-6));
         // The optimum of this relaxation is ≈ exp(-15.7) (paper §3.1).
@@ -651,6 +831,36 @@ mod tests {
             "objective {} outside plausible window",
             sol.objective
         );
+    }
+
+    #[test]
+    fn stop_is_polled_once_per_newton_step() {
+        let p = race_loop_problem();
+        let plain = p.solve(&opts()).unwrap();
+        let polls = std::cell::Cell::new(0usize);
+        let sol = p
+            .solve_until(&opts(), &|| {
+                polls.set(polls.get() + 1);
+                false
+            })
+            .unwrap();
+        assert_eq!(sol.objective.to_bits(), plain.objective.to_bits());
+        assert!(sol.phase_one_iterations > 0, "the origin is not strictly feasible");
+        assert_eq!(polls.get(), sol.phase_one_iterations + sol.newton_iterations);
+    }
+
+    #[test]
+    fn raised_stop_ends_the_solve_within_one_step() {
+        let p = race_loop_problem();
+        for after in [1, 5, 40] {
+            let polls = std::cell::Cell::new(0usize);
+            let r = p.solve_until(&opts(), &|| {
+                polls.set(polls.get() + 1);
+                polls.get() >= after
+            });
+            assert_eq!(r.unwrap_err(), SolveUntilError::Cancelled);
+            assert_eq!(polls.get(), after, "no step may run after the stop condition held");
+        }
     }
 
     #[test]

@@ -406,6 +406,8 @@ impl BoundEngine for ExpLinSyn {
                     details: vec![
                         ("floored", f64::from(u8::from(r.floored))),
                         ("newton_iterations", r.newton_iterations as f64),
+                        ("phase_one_iterations", r.phase_one_iterations as f64),
+                        ("backtracks", r.backtracks as f64),
                     ],
                 })
                 .map_err(|e| match e {

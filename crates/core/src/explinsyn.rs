@@ -25,7 +25,8 @@ use crate::canonical::{canonicalize_in, expand_term_at_vertex};
 use crate::logprob::LogProb;
 use crate::template::{SolvedTemplate, TemplateSpace, UCoef};
 use qava_convex::{
-    ConvexError, ConvexProblem, ExpSumConstraint, ExpTerm, SolverOptions, UniformMgf,
+    ConvexError, ConvexProblem, ExpSumConstraint, ExpTerm, SolveUntilError, SolverOptions,
+    UniformMgf,
 };
 use qava_lp::LpSolver;
 use qava_pts::Pts;
@@ -42,7 +43,8 @@ pub enum ExpLinSynError {
     /// Numerical failure inside the convex solver.
     Solver(String),
     /// The session's cooperative cancellation flag was raised (a lost
-    /// candidate race) before the convex solve started.
+    /// candidate race) or its deadline passed, before or during the convex
+    /// solve.
     Cancelled,
 }
 
@@ -56,7 +58,9 @@ impl std::fmt::Display for ExpLinSynError {
                 write!(f, "initial location is absorbing; the bound is trivial")
             }
             ExpLinSynError::Solver(m) => write!(f, "convex solver failed: {m}"),
-            ExpLinSynError::Cancelled => write!(f, "cancelled before the convex solve"),
+            ExpLinSynError::Cancelled => {
+                write!(f, "cancelled or past its deadline before the convex solve finished")
+            }
         }
     }
 }
@@ -76,8 +80,13 @@ pub struct ExpLinSynResult {
     /// `true` when the objective hit the solver floor — the bound is then
     /// "essentially zero" rather than the exact optimum.
     pub floored: bool,
-    /// Newton iterations spent by the interior-point solver.
+    /// Newton iterations of the interior-point solver's phase II (see
+    /// [`qava_convex::ConvexSolution::newton_iterations`]).
     pub newton_iterations: usize,
+    /// Newton iterations of its phase I, the feasible-point search.
+    pub phase_one_iterations: usize,
+    /// Rejected line-search candidates across both phases.
+    pub backtracks: usize,
 }
 
 /// Runs ExpLinSyn with default solver options.
@@ -147,16 +156,18 @@ pub fn synthesize_upper_bound_with_in(
     let problem = build_convex_program_in(pts, &space, solver)?;
 
     // The interior-point solve is this algorithm's one long phase and it
-    // runs outside the LP session, so honor a cooperative cancellation
-    // (a lost candidate race) here, at its boundary — the same contract
-    // the session applies to each LP solve.
-    if solver.is_cancelled() {
-        return Err(ExpLinSynError::Cancelled);
-    }
-    let sol = match problem.solve(opts) {
+    // runs outside the LP session, so it polls the session's cancel flag
+    // (a lost candidate race) and deadline itself, once per Newton step.
+    let stop = || solver.is_cancelled() || solver.deadline_expired();
+    let sol = match problem.solve_until(opts, &stop) {
         Ok(s) => s,
-        Err(ConvexError::Infeasible) => return Err(ExpLinSynError::NoTemplate),
-        Err(ConvexError::NumericalFailure(m)) => return Err(ExpLinSynError::Solver(m)),
+        Err(SolveUntilError::Cancelled) => return Err(ExpLinSynError::Cancelled),
+        Err(SolveUntilError::Solver(ConvexError::Infeasible)) => {
+            return Err(ExpLinSynError::NoTemplate)
+        }
+        Err(SolveUntilError::Solver(ConvexError::NumericalFailure(m))) => {
+            return Err(ExpLinSynError::Solver(m))
+        }
     };
 
     let bound = LogProb::from_ln(sol.objective).clamp_to_unit();
@@ -166,6 +177,8 @@ pub fn synthesize_upper_bound_with_in(
         solution: sol.x,
         floored: sol.floored,
         newton_iterations: sol.newton_iterations,
+        phase_one_iterations: sol.phase_one_iterations,
+        backtracks: sol.backtracks,
     })
 }
 

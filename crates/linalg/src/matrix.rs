@@ -124,8 +124,21 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn mul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "mul: dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
+        self.mul_into(other, &mut out);
+        out
+    }
+
+    /// Matrix product `A·B` written into `out`, reusing its storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()` or `out` is not
+    /// `self.rows() × other.cols()`.
+    pub fn mul_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.rows, "mul: dimension mismatch");
+        assert_eq!((out.rows, out.cols), (self.rows, other.cols), "mul_into: output shape mismatch");
+        out.data.fill(0.0);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self[(i, k)];
@@ -137,7 +150,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// Returns the transpose.

@@ -303,23 +303,28 @@ fn deadline_expiry_reports_cancelled() {
     let rows = suite_rows();
     let heavy = rows.iter().find(|b| b.name == "3DWalk").expect("3DWalk row exists");
     let mut client = Client::connect(&socket).expect("client");
-    // hoeffding-linear does all its work through LpSolver solves, so the
-    // deadline (enforced at solve boundaries) is guaranteed to trip;
-    // explinsyn's convex phase only polls the cancel flag.
-    let response = client
-        .analyze(&AnalyzeSpec {
-            id: 7,
-            source: heavy.source,
-            params: &heavy.params,
-            engines: vec!["hoeffding-linear".to_string()],
-            race: false,
-            deadline_ms: Some(1),
-            invariant_iters: SUITE_INVARIANT_ITERS,
-            lp_backend: None,
-        })
-        .expect("deadline-bounded analyze still answers");
-    let err = response.runs[0].bound.as_ref().expect_err("1ms is not enough to certify");
-    assert!(err.contains("cancelled"), "deadline expiry surfaces as cancellation: {err}");
+    // hoeffding-linear does all its work through LpSolver solves, where
+    // the deadline is enforced at solve boundaries; explinsyn's convex
+    // solve polls it once per Newton step. 1ms trips either.
+    for (id, engine) in [(7, "hoeffding-linear"), (8, "explinsyn")] {
+        let response = client
+            .analyze(&AnalyzeSpec {
+                id,
+                source: heavy.source,
+                params: &heavy.params,
+                engines: vec![engine.to_string()],
+                race: false,
+                deadline_ms: Some(1),
+                invariant_iters: SUITE_INVARIANT_ITERS,
+                lp_backend: None,
+            })
+            .expect("deadline-bounded analyze still answers");
+        let err = response.runs[0]
+            .bound
+            .as_ref()
+            .expect_err("1ms is not enough to certify");
+        assert!(err.contains("cancelled"), "{engine}: deadline expiry surfaces as cancellation: {err}");
+    }
     drop(client);
     shutdown(&socket, handle);
     let _ = std::fs::remove_dir_all(&dir);
