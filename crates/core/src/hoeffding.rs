@@ -17,13 +17,15 @@
 //!
 //! Scaling fixes `Δ = 1` (Appendix C.2). The remaining objective `8·ε·ω`
 //! (with `ω = η(ℓ_init, v_init)`) is bilinear, so the **Ser** procedure
-//! ternary-searches over `ε`, solving one Farkas LP per probe — the
-//! uniqueness of the local optimum is Proposition 5 of the paper.
+//! ternary-searches over `ε` — the uniqueness of the local optimum is
+//! Proposition 5 of the paper. The probe Farkas LP is built once per run:
+//! ε enters it only as the right-hand side `base − ε` of one row per (C3)
+//! instance, so each probe moves those rows and re-solves.
 
 use crate::farkas::encode_implication;
 use crate::logprob::LogProb;
 use crate::template::{SolvedTemplate, TemplateSpace, UCoef};
-use qava_lp::{Cmp, LinExpr, LpBuilder, LpError, LpSolver, VarId};
+use qava_lp::{Cmp, LinExpr, LpBuilder, LpError, LpSolution, LpSolver, VarId};
 use qava_pts::{Fork, Pts, Transition};
 use qava_polyhedra::{Halfspace, Polyhedron};
 
@@ -97,9 +99,14 @@ const MAX_SUPPORT_COMBOS: usize = 4096;
 /// differences bounded by 1 cannot decrease by more than 1 in expectation).
 const EPS_CAP: f64 = 1.0;
 
-/// Default number of Ser ternary-search iterations: `(2/3)^70` shrinks the
-/// ε window by ~1e-12, matching Theorem C.1's `O(log(εmax/μ))` with the
-/// tightest μ that still makes sense in f64.
+/// Default cap on Ser ternary-search iterations (Theorem C.1's
+/// `O(log(εmax/μ))`). It is a cap, not the stopping rule: the search also
+/// stops once the ε window is narrower than `1e-10`, and since
+/// `εmax ≤ `[`EPS_CAP`]` = 1` that break ends every default search after at
+/// most 57 iterations (`(2/3)^57 < 1e-10`), i.e. at most 116 LP solves
+/// counting the εmax and certifying solves. The Table 1 searches take 49–55
+/// iterations: Coupon `T > 100` reports 108 `lp_solves` (εmax, 53
+/// iterations' 106 probes, and the certifying solve).
 pub const DEFAULT_SER_ITERATIONS: usize = 70;
 
 /// Synthesizes a RepRSM upper bound with the Ser ternary search.
@@ -204,21 +211,26 @@ pub fn synthesize_reprsm_bound_seeded_in(
     }
     let space = TemplateSpace::new(pts, true);
     let gen = ConstraintGen::new(pts, &space, kind, solver)?;
+    // Every probe and the certifying solve share this one LP.
+    let mut probe = gen.build_lp(false);
     let mut lp_solves = 0usize;
 
     // f(ε) = ε·ω_opt(ε), minimized by ternary search (Appendix C.2).
-    let omega_at =
-        |eps: f64, count: &mut usize, solver: &mut LpSolver| -> Result<f64, RepRsmError> {
-            let (lp, _, _) = gen.build_lp(Some(eps));
-            *count += 1;
-            match solver.solve(&lp) {
-                Ok(sol) => Ok(sol.objective.min(0.0)),
-                Err(LpError::Infeasible) => Ok(f64::INFINITY), // probe outside feasible ε range
-                Err(e) => Err(RepRsmError::Lp(e)),
-            }
-        };
+    let omega_at = |eps: f64,
+                    probe: &mut SerLp,
+                    count: &mut usize,
+                    solver: &mut LpSolver|
+     -> Result<f64, RepRsmError> {
+        *count += 1;
+        match probe.solve_at(eps, solver) {
+            Ok(sol) => Ok(sol.objective.min(0.0)),
+            Err(LpError::Infeasible) => Ok(f64::INFINITY), // probe outside feasible ε range
+            Err(e) => Err(RepRsmError::Lp(e)),
+        }
+    };
     let ternary = |mut lo: f64,
                    mut hi: f64,
+                   probe: &mut SerLp,
                    count: &mut usize,
                    solver: &mut LpSolver|
      -> Result<f64, RepRsmError> {
@@ -228,8 +240,8 @@ pub fn synthesize_reprsm_bound_seeded_in(
             }
             let m1 = lo + (hi - lo) / 3.0;
             let m2 = hi - (hi - lo) / 3.0;
-            let f1 = m1 * omega_at(m1, count, solver)?;
-            let f2 = m2 * omega_at(m2, count, solver)?;
+            let f1 = m1 * omega_at(m1, probe, count, solver)?;
+            let f2 = m2 * omega_at(m2, probe, count, solver)?;
             if f1 < f2 {
                 hi = m2;
             } else {
@@ -240,17 +252,17 @@ pub fn synthesize_reprsm_bound_seeded_in(
     };
     // Final certifying solve at ε*; `Ok(None)` = infeasible there.
     let finish = |eps_star: f64,
+                  probe: &mut SerLp,
                   count: &mut usize,
                   solver: &mut LpSolver|
      -> Result<Option<RepRsmResult>, RepRsmError> {
-        let (lp, unknowns, _) = gen.build_lp(Some(eps_star));
         *count += 1;
-        let sol = match solver.solve(&lp) {
+        let sol = match probe.solve_at(eps_star, solver) {
             Ok(s) => s,
             Err(LpError::Infeasible) => return Ok(None),
             Err(e) => return Err(RepRsmError::Lp(e)),
         };
-        let x: Vec<f64> = unknowns.iter().map(|&v| sol.value(v)).collect();
+        let x: Vec<f64> = probe.unknowns.iter().map(|&v| sol.value(v)).collect();
         let omega = sol.objective.min(0.0);
         let log_bound = kind.factor() * eps_star * omega;
         Ok(Some(RepRsmResult {
@@ -266,9 +278,9 @@ pub fn synthesize_reprsm_bound_seeded_in(
     // the full search when the guards fire.
     if let Some(seed) = eps_seed.filter(|e| e.is_finite() && *e > 0.0) {
         let hi = (SEED_WINDOW * seed).min(EPS_CAP);
-        let eps_star = ternary(0.0, hi, &mut lp_solves, solver)?;
+        let eps_star = ternary(0.0, hi, &mut probe, &mut lp_solves, solver)?;
         if eps_star <= SEED_BOUNDARY * hi || hi >= EPS_CAP {
-            if let Some(mut r) = finish(eps_star, &mut lp_solves, solver)? {
+            if let Some(mut r) = finish(eps_star, &mut probe, &mut lp_solves, solver)? {
                 r.lp_solves = lp_solves;
                 return Ok(r);
             }
@@ -278,21 +290,45 @@ pub fn synthesize_reprsm_bound_seeded_in(
     // εmax: maximize ε subject to everything (ε itself capped for
     // boundedness).
     let eps_max = {
-        let (lp, _, eps_var) = gen.build_lp(None);
+        let max_lp = gen.build_lp(true);
         lp_solves += 1;
-        match solver.solve(&lp) {
-            Ok(sol) => sol.value(eps_var.expect("eps is a variable here")).min(EPS_CAP),
+        match solver.solve(&max_lp.lp) {
+            Ok(sol) => sol.value(max_lp.eps_var.expect("eps is a variable here")).min(EPS_CAP),
             Err(LpError::Infeasible) => return Err(RepRsmError::NoRepRsm),
             Err(e) => return Err(RepRsmError::Lp(e)),
         }
     };
-    let eps_star = ternary(0.0, eps_max, &mut lp_solves, solver)?;
-    match finish(eps_star, &mut lp_solves, solver)? {
+    let eps_star = ternary(0.0, eps_max, &mut probe, &mut lp_solves, solver)?;
+    match finish(eps_star, &mut probe, &mut lp_solves, solver)? {
         Some(mut r) => {
             r.lp_solves = lp_solves;
             Ok(r)
         }
         None => Err(RepRsmError::NoRepRsm),
+    }
+}
+
+/// A built Ser LP over the template unknowns, `β`, and (for εmax) `ε`.
+struct SerLp {
+    lp: LpBuilder,
+    unknowns: Vec<VarId>,
+    /// `ε` as a decision variable (the εmax LP); `None` in the probe LP.
+    eps_var: Option<VarId>,
+    /// Each (C3) instance's `yᵀb − d(x) ≤ d.constant` row, with its ε-free
+    /// right-hand side `−d_no_eps.constant`.
+    eps_rows: Vec<(usize, f64)>,
+}
+
+impl SerLp {
+    /// Solves the probe LP at `eps`: every (C3) right-hand side becomes
+    /// `base − eps`, bit for bit the LP that substituting ε into `d`
+    /// before encoding would build.
+    fn solve_at(&mut self, eps: f64, solver: &mut LpSolver) -> Result<LpSolution, LpError> {
+        debug_assert!(self.eps_var.is_none(), "ε is a variable in the εmax LP");
+        for &(row, base) in &self.eps_rows {
+            self.lp.set_rhs(row, base - eps);
+        }
+        solver.solve(&self.lp)
     }
 }
 
@@ -475,22 +511,20 @@ impl<'a> ConstraintGen<'a> {
         Ok(())
     }
 
-    /// Builds the LP. When `eps` is `None`, ε is a decision variable and the
-    /// objective is `max ε` (for εmax); otherwise ε is substituted and the
-    /// objective is `min η(ℓ_init, v_init)`.
-    fn build_lp(&self, eps: Option<f64>) -> (LpBuilder, Vec<VarId>, Option<VarId>) {
+    /// Builds the LP. With `eps_is_var`, ε is a decision variable and the
+    /// objective is `max ε` (for εmax); otherwise ε is left out of the
+    /// (C3) rows for [`SerLp::solve_at`] to subtract from their right-hand
+    /// sides, and the objective is `min η(ℓ_init, v_init)`.
+    fn build_lp(&self, eps_is_var: bool) -> SerLp {
         let n = self.space.len();
         let mut lp = LpBuilder::new();
         let unknowns: Vec<VarId> = (0..n).map(|i| lp.add_var(format!("u{i}"))).collect();
         let beta = lp.add_var("beta");
-        let eps_var = match eps {
-            None => {
-                let e = lp.add_var_nonneg("epsilon");
-                lp.constrain(LinExpr::var(e, 1.0), Cmp::Le, EPS_CAP);
-                Some(e)
-            }
-            Some(_) => None,
-        };
+        let eps_var = eps_is_var.then(|| {
+            let e = lp.add_var_nonneg("epsilon");
+            lp.constrain(LinExpr::var(e, 1.0), Cmp::Le, EPS_CAP);
+            e
+        });
 
         if self.kind == BoundKind::Azuma {
             lp.constrain(LinExpr::var(beta, 1.0), Cmp::Eq, -0.5);
@@ -522,20 +556,16 @@ impl<'a> ConstraintGen<'a> {
         encode_implication(&mut lp, &unknowns, self.pts.invariant(fail), &c2, &d2);
 
         // (C3): c(x)·v ≤ −d(x) − ε over Ψ.
+        let mut eps_rows = Vec::with_capacity(self.c3_instances.len());
         for inst in &self.c3_instances {
-            let mut d = inst.d_no_eps.negated();
-            match (eps, eps_var) {
-                (Some(e), _) => d.constant -= e,
-                (None, Some(_)) => {
-                    // ε as a variable: append it to the unknown basis below.
-                }
-                (None, None) => unreachable!(),
-            }
+            let d = inst.d_no_eps.negated();
             // encode with extended unknown list (template unknowns + β + ε?).
             // β does not appear in C3; ε appears with coefficient −1 when a
             // variable. We splice it via a widened UCoef basis.
             let (xs, c_rows, d_row) = self.widen(&unknowns, beta, eps_var, &inst.c, &d, -1.0);
             encode_implication(&mut lp, &xs, &inst.psi, &c_rows, &d_row);
+            // The implication's last row is `yᵀb − d(x) ≤ d.constant`.
+            eps_rows.push((lp.num_rows() - 1, d.constant));
         }
 
         // (C4): β − diff ≤ 0 and diff − β − 1 ≤ 0 over the extended Ψ.
@@ -575,7 +605,7 @@ impl<'a> ConstraintGen<'a> {
                 lp.minimize(obj);
             }
         }
-        (lp, unknowns, eps_var)
+        SerLp { lp, unknowns, eps_var, eps_rows }
     }
 
     /// Widens template-space [`UCoef`]s (length `n`) to the LP's full

@@ -381,6 +381,18 @@ impl LpBuilder {
         self.rows.push(Row { coeffs, cmp, rhs: rhs - constant });
     }
 
+    /// Replaces the stored right-hand side of row `row` (rows are numbered
+    /// in [`constrain`](Self::constrain) order) with `rhs`, as stored: no
+    /// constant is folded. Each solve renormalizes the sign afresh, so the
+    /// patched model lowers exactly as one built with this right-hand side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= self.num_rows()`.
+    pub fn set_rhs(&mut self, row: usize, rhs: f64) {
+        self.rows[row].rhs = rhs;
+    }
+
     /// Sets the objective to *minimize* `expr`. Constant terms are ignored
     /// for the pivoting itself; callers that care reconstruct exact values
     /// via [`LpSolution::eval`].
@@ -684,6 +696,50 @@ mod tests {
         lp.minimize(LinExpr::new().term(x, 1.0));
         let sol = lp.solve().unwrap();
         assert!((sol.value(x) - 3.0).abs() < 1e-7);
+    }
+
+    /// `max x + y` subject to `x − y ≤ rhs`, `x + 2y ≥ 1` and
+    /// `−x + 3y ≤ 6`, over free `x, y`: optimum `2·rhs + 6` for
+    /// `rhs ≥ −3.2`, infeasible below.
+    fn rhs_model(rhs: f64) -> LpBuilder {
+        let mut lp = LpBuilder::new();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        le(&mut lp, &[(x, 1.0), (y, -1.0)], rhs);
+        lp.constrain(LinExpr::new().term(x, 1.0).term(y, 2.0), Cmp::Ge, 1.0);
+        le(&mut lp, &[(x, -1.0), (y, 3.0)], 6.0);
+        lp.maximize(LinExpr::new().term(x, 1.0).term(y, 1.0));
+        lp
+    }
+
+    #[test]
+    fn set_rhs_solves_like_a_fresh_model() {
+        // One model patched through positive and sign-flipping right-hand
+        // sides (lower() then negates the row and turns its slack into a
+        // surplus), an infeasible one, and back.
+        let mut patched = rhs_model(2.0);
+        let bits = |s: LpSolution| {
+            (s.objective.to_bits(), s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        for rhs in [0.5, -3.0, -0.25, -5.0, 4.0] {
+            patched.set_rhs(0, rhs);
+            let mut a = LpSolver::new();
+            let mut b = LpSolver::new();
+            let got = a.solve(&patched).map(bits);
+            let want = b.solve(&rhs_model(rhs)).map(bits);
+            assert_eq!(got, want, "rhs {rhs}");
+            assert_eq!(a.stats().pivots, b.stats().pivots, "rhs {rhs}");
+            if rhs >= -3.2 {
+                assert!((f64::from_bits(got.unwrap().0) - (2.0 * rhs + 6.0)).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn set_rhs_out_of_range_panics() {
+        let mut lp = rhs_model(2.0);
+        lp.set_rhs(lp.num_rows(), 1.0);
     }
 
     #[test]
