@@ -3,7 +3,7 @@
 //! The LP conformance corpus (`crates/lp/tests/corpus/*.qlp`, replayed by
 //! `crates/lp/tests/corpus.rs`) holds core-form LP instances harvested
 //! from **real suite runs**: each file is exactly what an `LpBackend` saw
-//! — the presolved, equilibrated standard-form system — together with
+//! — the lowered, equilibrated standard-form system — together with
 //! the dense-oracle verdict recorded at capture time. This test is the
 //! capture tool. It is `#[ignore]`d because it *writes* the corpus; the
 //! committed files are the source of truth and only change when this is
@@ -115,7 +115,7 @@ fn render(name: &str, origin: &str, inst: &Instance, warm: Option<&[usize]>) -> 
     let oracle = DenseTableau.solve_core(&inst.costs, &a, &inst.b, None);
     let mut s = String::new();
     writeln!(s, "# qava LP conformance corpus v1 — replayed by crates/lp/tests/corpus.rs").unwrap();
-    writeln!(s, "# Core form as the LpBackend saw it: presolved, equilibrated, b >= 0.").unwrap();
+    writeln!(s, "# Core form as the LpBackend saw it: lowered, equilibrated, b >= 0.").unwrap();
     writeln!(s, "name {name}").unwrap();
     writeln!(s, "origin {origin}").unwrap();
     writeln!(s, "m {} n {}", inst.m(), inst.costs.len()).unwrap();

@@ -26,18 +26,18 @@
 //!   The conformance corpus in `tests/corpus/` and the metamorphic suite
 //!   in `tests/prop.rs` race the two against each other;
 //! * the [`LpSolver`] **session** — one per synthesis run — owning the
-//!   shared pipeline (presolve: empty/duplicate-row removal and
-//!   fixed-variable elimination; max-norm equilibration), the backend
+//!   shared pipeline (standard-form lowering, CSC build, max-norm
+//!   equilibration), the backend
 //!   selection policy ([`BackendChoice`]: `auto` routes µs-scale models
 //!   to the dense tableau and everything above the dense cutover to the
 //!   LU simplex), a bounded-LRU warm-start basis
 //!   cache keyed by LP sparsity pattern, and per-solve statistics
-//!   ([`LpStats`]: pivots, presolve reductions, warm-start hits,
+//!   ([`LpStats`]: pivots, warm-start hits,
 //!   feasibility-watchdog restarts, anti-cycling retries, dual
 //!   reoptimizations, wall time). Sessions offer **dual-simplex
 //!   reoptimization** ([`LpSolver::reoptimize`], or session-wide via
 //!   [`LpSolver::set_reoptimize`]) for parametric families: when a
-//!   solve's reduced pattern has a cached final basis, the `lu` backend
+//!   solve's sparsity pattern has a cached final basis, the `lu` backend
 //!   refactorizes that basis once and — while it still prices
 //!   out dual-feasible, which RHS-only perturbations guarantee — run
 //!   dual pivots back to primal feasibility instead of a cold two-phase
@@ -70,7 +70,7 @@
 //! * **The failover ladder** comes second: if a built-in backend still
 //!   returns [`LpError::PivotLimit`], the session invalidates the
 //!   warm-start cache entry that seeded the failed run and steps down
-//!   `lu → dense`, re-running the full pipeline (presolve +
+//!   `lu → dense`, re-running the full pipeline (CSC build +
 //!   equilibration) on the rung. The ladder wraps: a failed `dense`
 //!   gives `lu` one shot, and an external backend fails over to `lu`
 //!   first. Each step increments
@@ -122,9 +122,9 @@
 //! # Registering and selecting backends
 //!
 //! Sessions are born with the two built-ins, selected by policy or by
-//! name; external backends implement [`LpBackend`] against the
-//! presolved/equilibrated core form and plug in without touching any
-//! synthesis code:
+//! name; external backends implement [`LpBackend`] against the core
+//! form — lowered, equilibrated, `b ≥ 0`; may contain empty or dependent
+//! rows — and plug in without touching any synthesis code:
 //!
 //! ```
 //! use qava_lp::{BackendChoice, CoreSolution, CscMatrix, LpBackend, LpError, LpSolver};
@@ -155,7 +155,6 @@ mod eta;
 mod expr;
 pub mod faults;
 mod lu;
-mod presolve;
 mod revised;
 mod simplex;
 mod solver;
@@ -190,7 +189,7 @@ pub mod debug {
     }
 }
 
-use presolve::StdRows;
+use solver::StdRows;
 use qava_linalg::EPS;
 use std::cell::RefCell;
 

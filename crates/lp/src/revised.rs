@@ -15,7 +15,7 @@
 //! healthy-pivot preference, the feasibility watchdog, and verdict
 //! certification from fresh factors (see [`Revised::run`]).
 //!
-//! Presolve, equilibration and the warm-start basis cache live in the
+//! Lowering, equilibration and the warm-start basis cache live in the
 //! [`LpSolver`](crate::LpSolver) session ([`crate::solver`]): this module
 //! only sees the scaled core system plus an optional warm basis, and
 //! reports the solution, the final basis (the session caches it per
@@ -852,7 +852,7 @@ fn cold_two_phase(
 
 #[cfg(test)]
 mod tests {
-    use crate::presolve::StdRows;
+    use crate::solver::StdRows;
     use crate::{BackendChoice, LpError, LpSolver};
 
     fn rows_of(dense: Vec<Vec<f64>>) -> Vec<Vec<(usize, f64)>> {
@@ -933,7 +933,8 @@ mod tests {
 
     #[test]
     fn redundant_zero_row_survives() {
-        // Duplicate rows are presolved away; the optimum is unchanged.
+        // A duplicated row is linearly dependent: phase 1 leaves its
+        // artificial basic at zero, and the optimum is unchanged.
         let x = solve(vec![1.0, 0.0], vec![vec![1.0, 1.0], vec![2.0, 2.0]], vec![1.0, 2.0])
             .unwrap();
         assert!((x[0] + x[1] - 1.0).abs() < 1e-9);

@@ -9,7 +9,7 @@
 //! This is the **dense tableau backend**: registered as the
 //! [`DenseTableau`](crate::DenseTableau) implementation of the
 //! [`LpBackend`](crate::LpBackend) trait (where it receives
-//! already-presolved, already-equilibrated systems from the
+//! lowered, equilibrated systems from the
 //! [`LpSolver`](crate::LpSolver) session), and kept fully functional as a
 //! standalone differential-testing oracle ([`solve_standard_dense`]).
 

@@ -7,15 +7,17 @@
 //! This module promotes the choice to runtime:
 //!
 //! * [`LpBackend`] is the pluggable core-solver interface. A backend
-//!   receives a **presolved, equilibrated** standard-form system
-//!   `min cᵀx, A·x = b, x ≥ 0` (`b ≥ 0`) in CSC form plus an optional
-//!   warm-start basis, and reports the solution, the final basis (when it
-//!   supports warm starts) and the pivots it spent. [`DenseTableau`] and
-//!   [`LuSimplex`] are the built-in implementations; external backends (interior point, …) implement the same trait and
-//!   are attached with [`LpSolver::register_backend`].
+//!   receives a **lowered, equilibrated** standard-form system
+//!   `min cᵀx, A·x = b, x ≥ 0` (`b ≥ 0`) in CSC form, possibly with
+//!   empty or linearly dependent rows, plus an optional warm-start
+//!   basis, and reports the solution, the final basis (when it supports
+//!   warm starts) and the pivots it spent. [`DenseTableau`] and
+//!   [`LuSimplex`] are the built-in implementations; external backends
+//!   (interior point, …) implement the same trait and are attached with
+//!   [`LpSolver::register_backend`].
 //! * [`LpSolver`] is the per-synthesis **session**: it owns the shared
-//!   pipeline (presolve → equilibration → warm-start lookup → backend →
-//!   solution restore), the selection policy ([`BackendChoice`]), the
+//!   pipeline (CSC build → equilibration → warm-start lookup → backend →
+//!   column unscaling), the selection policy ([`BackendChoice`]), the
 //!   bounded LRU warm-start basis cache, and cumulative [`LpStats`].
 //!
 //! One synthesis run threads a single session through every LP it
@@ -25,7 +27,7 @@
 //!
 //! Sessions additionally support **dual-simplex reoptimization**
 //! ([`LpSolver::reoptimize`] / [`LpSolver::set_reoptimize`]): when a
-//! solve's reduced sparsity pattern has a cached final basis, the
+//! solve's sparsity pattern has a cached final basis, the
 //! revised-simplex backend refactorizes it once and run dual pivots back
 //! to primal feasibility instead of a cold two-phase solve — the
 //! parametric-sweep fast path, with unchanged verdict certification and
@@ -34,8 +36,8 @@
 use crate::cache::{BasisCache, SharedBasisCache};
 use crate::csc::CscMatrix;
 use crate::faults::{self, FaultPlan, Site};
-use crate::presolve::{self, StdRows};
 use crate::{revised, simplex, LpBuilder, LpError, LpSolution};
+use qava_linalg::EPS;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,12 +46,27 @@ use std::time::{Duration, Instant};
 /// the dense tableau: the sparse pipeline's fixed costs (pattern
 /// hashing, basis factorization) dominate on the µs-scale models that
 /// polyhedron emptiness probes produce, where the dense tableau's
-/// constant factor wins. Measured on the reduced (post-presolve) system.
+/// constant factor wins. Measured on the lowered system.
 const DENSE_CUTOVER_ROWS: usize = 16;
 const DENSE_CUTOVER_COLS: usize = 96;
 
 /// Default capacity of the session's warm-start basis cache.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
+
+/// A standard-form LP `min cᵀx, A·x = b, x ≥ 0` in sparse row
+/// representation — what [`LpBuilder`] lowers to and the session solves.
+#[derive(Debug, Clone)]
+pub(crate) struct StdRows {
+    /// Objective coefficients, one per column.
+    pub costs: Vec<f64>,
+    /// Sparse rows `[(col, coeff), …]`; the invariant `b ≥ 0` is kept by
+    /// sign-normalizing rows.
+    pub rows: Vec<Vec<(usize, f64)>>,
+    /// Right-hand side, aligned with `rows`.
+    pub b: Vec<f64>,
+    /// Total number of columns.
+    pub ncols: usize,
+}
 
 /// What a backend returns for one core solve.
 #[derive(Debug, Clone)]
@@ -83,7 +100,9 @@ pub struct CoreSolution {
 /// A pluggable LP core solver.
 ///
 /// Implementations solve `min cᵀx, A·x = b, x ≥ 0` (with `b ≥ 0`) on a
-/// system the session has already presolved and max-norm equilibrated.
+/// system the session has lowered and max-norm equilibrated. The system
+/// may contain empty rows, empty columns and linearly dependent rows;
+/// phase 1 of a two-phase simplex handles all three.
 /// They must be deterministic: the differential property tests run every
 /// instance through all registered backends and require verdict and
 /// objective agreement.
@@ -241,7 +260,7 @@ impl LpBackend for DenseTableau {
 /// Backend selection policy of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
-    /// Dispatch by size of the reduced system: tiny models (≤ 16 rows
+    /// Dispatch by size of the lowered system: tiny models (≤ 16 rows
     /// and ≤ 96 columns) take the dense tableau, everything else the LU
     /// revised simplex. The default.
     #[default]
@@ -318,14 +337,11 @@ pub struct BackendTally {
 /// fleet-wide totals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LpStats {
-    /// Standard-form solves requested (including presolve-only ones).
+    /// Standard-form solves requested (including ones settled without a
+    /// backend call: the empty system).
     pub solves: usize,
     /// Total simplex pivots across all backends.
     pub pivots: usize,
-    /// Constraint rows removed by presolve.
-    pub presolve_rows_removed: usize,
-    /// Columns removed by presolve (fixed or empty).
-    pub presolve_cols_removed: usize,
     /// Cached warm-start bases that were accepted and drove a solve.
     pub warm_start_hits: usize,
     /// Core solves on warm-capable backends that ran cold (no cached
@@ -390,8 +406,6 @@ impl LpStats {
         let LpStats {
             solves,
             pivots,
-            presolve_rows_removed,
-            presolve_cols_removed,
             warm_start_hits,
             warm_start_misses,
             cache_evictions,
@@ -409,8 +423,6 @@ impl LpStats {
         } = other;
         self.solves += solves;
         self.pivots += pivots;
-        self.presolve_rows_removed += presolve_rows_removed;
-        self.presolve_cols_removed += presolve_cols_removed;
         self.warm_start_hits += warm_start_hits;
         self.warm_start_misses += warm_start_misses;
         self.cache_evictions += cache_evictions;
@@ -443,7 +455,7 @@ impl std::fmt::Display for LpStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "lp: {} solves, {} pivots, {:.3}s; presolve removed {} rows / {} cols; \
+            "lp: {} solves, {} pivots, {:.3}s; \
              warm start {} hits / {} misses, {} evictions, {} persistent; \
              {} watchdog restarts ({} singular / {} infeasible), {} bland retries; \
              {} failovers / {} rescues; {} dual reopts ({} fell back cold); \
@@ -451,8 +463,6 @@ impl std::fmt::Display for LpStats {
             self.solves,
             self.pivots,
             self.wall_seconds,
-            self.presolve_rows_removed,
-            self.presolve_cols_removed,
             self.warm_start_hits,
             self.warm_start_misses,
             self.cache_evictions,
@@ -705,7 +715,7 @@ impl LpSolver {
     }
 
     /// Enables or disables dual-simplex reoptimization mode (disabled by
-    /// default). In this mode every solve whose (presolved, equilibrated)
+    /// default). In this mode every solve whose (lowered, equilibrated)
     /// sparsity pattern has a cached final basis first refactorizes that
     /// basis and — when it still prices out dual-feasible, which an
     /// RHS-only perturbation guarantees — runs dual pivots back to primal
@@ -861,8 +871,8 @@ impl LpSolver {
         })
     }
 
-    /// The shared solve pipeline: presolve → equilibration → warm-start
-    /// lookup → selected backend → cache update → solution restore,
+    /// The shared solve pipeline: CSC build → equilibration → warm-start
+    /// lookup → selected backend → cache update → column unscaling,
     /// wrapped in the failover ladder.
     pub(crate) fn solve_std_rows(&mut self, lp: StdRows) -> Result<Vec<f64>, LpError> {
         // Cancellation, deadline expiry, and the injected flavor of the
@@ -933,29 +943,22 @@ impl LpSolver {
         Err(LpError::PivotLimit)
     }
 
-    /// One full pipeline pass on one backend: presolve → equilibration →
-    /// warm-start lookup → backend call → cache update → restore.
+    /// One full pipeline pass on one backend: CSC build → equilibration →
+    /// warm-start lookup → backend call → cache update → unscaling.
     /// `force` pins the backend (a failover rung); `None` applies the
     /// session's selection policy.
     fn attempt(&mut self, lp: &StdRows, force: Option<usize>) -> Attempt {
-        let orig_rows = lp.rows.len();
-        let orig_cols = lp.ncols;
-        let (reduced, restore) = match presolve::reduce(lp.clone()) {
-            Ok(pair) => pair,
-            Err(e) => return Attempt::verdict(Err(e)),
-        };
-        self.stats.presolve_rows_removed += orig_rows - reduced.rows.len();
-        self.stats.presolve_cols_removed += orig_cols - reduced.ncols;
-        if reduced.rows.is_empty() {
-            // Fully presolved: the (empty) system is trivially feasible.
-            return Attempt::verdict(if restore.unbounded_if_feasible {
+        if lp.rows.is_empty() {
+            // No constraints: `x = 0` is feasible, and any negative cost
+            // is an improving ray.
+            return Attempt::verdict(if lp.costs.iter().any(|&c| c < -EPS) {
                 Err(LpError::Unbounded)
             } else {
-                Ok(restore.expand(&vec![0.0; reduced.ncols]))
+                Ok(vec![0.0; lp.ncols])
             });
         }
 
-        let a = CscMatrix::from_sparse_rows(reduced.rows.len(), reduced.ncols, &reduced.rows);
+        let a = CscMatrix::from_sparse_rows(lp.rows.len(), lp.ncols, &lp.rows);
         let m = a.rows();
         let n = a.cols();
 
@@ -975,9 +978,9 @@ impl LpSolver {
             .collect();
         let mut sa = a;
         sa.scale(&row_scale, &col_scale);
-        let sb: Vec<f64> = reduced.b.iter().zip(&row_scale).map(|(&v, &s)| v * s).collect();
+        let sb: Vec<f64> = lp.b.iter().zip(&row_scale).map(|(&v, &s)| v * s).collect();
         let scaled_costs: Vec<f64> =
-            reduced.costs.iter().zip(&col_scale).map(|(&c, &s)| c * s).collect();
+            lp.costs.iter().zip(&col_scale).map(|(&c, &s)| c * s).collect();
 
         // ---- Backend selection and warm-start lookup. ----
         let idx = force.unwrap_or(match self.selection {
@@ -1108,20 +1111,13 @@ impl LpSolver {
         for (xj, s) in x.iter_mut().zip(&col_scale) {
             *xj *= s;
         }
-        let result = if restore.unbounded_if_feasible {
-            // The reduced system is feasible, so the removed negative-cost
-            // empty column really is an improving ray.
-            Err(LpError::Unbounded)
-        } else {
-            Ok(restore.expand(&x))
-        };
-        Attempt { result, backend_idx: Some(idx), warm_key: warm_capable.then_some(key) }
+        Attempt { result: Ok(x), backend_idx: Some(idx), warm_key: warm_capable.then_some(key) }
     }
 }
 
 /// One [`LpSolver::attempt`]'s outcome, with the context the failover
-/// ladder needs: which backend ran (None when presolve settled the
-/// system before any backend) and the warm-start cache key it was seeded
+/// ladder needs: which backend ran (None when the empty system was
+/// settled without any backend) and the warm-start cache key it was seeded
 /// under (None for warm-incapable backends).
 struct Attempt {
     result: Result<Vec<f64>, LpError>,
@@ -1182,7 +1178,6 @@ mod tests {
             .collect();
         let mut sum = LinExpr::new();
         for (j, &v) in vars.iter().enumerate() {
-            // Distinct caps so presolve keeps every row.
             lp.constrain(
                 LinExpr::var(v, 1.0).term(vars[(j + 1) % vars.len()], 0.5),
                 Cmp::Le,

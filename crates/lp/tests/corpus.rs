@@ -227,7 +227,7 @@ fn corpus_warm_bases_never_change_results() {
 }
 
 /// Solves one corpus instance through a full `LpSolver` session (so the
-/// presolve/equilibration/failover pipeline is engaged) and checks the
+/// equilibration/failover pipeline is engaged) and checks the
 /// result against the pinned verdict and objective.
 fn check_session(inst: &CorpusInstance, solver: &mut LpSolver, tag: &str) {
     let out =

@@ -175,7 +175,7 @@ fn feasible_std_lp(seed: u64) -> StdLpInstance {
     let mut rng = StdRng::seed_from_u64(seed);
     let m = rng.gen_range(1usize..6);
     let n = m + rng.gen_range(1usize..7);
-    // ~half the entries zero so presolve and CSC actually see sparsity.
+    // ~half the entries zero so the CSC build actually sees sparsity.
     let a: Vec<Vec<f64>> = (0..m)
         .map(|_| {
             (0..n)
@@ -215,8 +215,8 @@ fn feasible_std_lp(seed: u64) -> StdLpInstance {
 }
 
 /// A deliberately degenerate variant of [`feasible_std_lp`]: extra rows
-/// that are sums of existing ones (linearly dependent, so presolve's
-/// exact-duplicate pass keeps them) and a sparser anchor point, so the
+/// that are sums of existing ones (linearly dependent, so phase 1 must
+/// cope with a rank-deficient system) and a sparser anchor point, so the
 /// optimum sits on a vertex where many bases are interchangeable. This
 /// is the regime where anti-cycling (sticky Bland) and the basis
 /// representations' tiny-pivot handling earn their keep.
@@ -513,6 +513,77 @@ fn column_scaling_undo_regression() {
         let r2 = 2e2 * x[1] + x[2];
         assert!((r1 - 5e2).abs() < 1e-4, "{label}: row1 = {r1}");
         assert!((r2 - 8e2).abs() < 1e-4, "{label}: row2 = {r2}");
+    }
+}
+
+/// What a [`degenerate_structure_verdicts`] case must produce.
+#[derive(Debug)]
+enum Verdict {
+    /// Optimal at this unique point.
+    At(Vec<f64>),
+    Infeasible,
+    Unbounded,
+}
+
+/// Easy-but-degenerate structure the lowering emits and every backend
+/// must settle on its own: empty rows, singleton rows (alone and
+/// chained), duplicate rows, empty columns and the empty system. Each
+/// case runs through the session pipeline on every policy, with the
+/// failover ladder off so the verdict is the selected backend's own.
+#[test]
+fn degenerate_structure_verdicts() {
+    use Verdict::{At, Infeasible, Unbounded};
+    // (name, sparse rows, b, costs, expected verdict)
+    type Case = (&'static str, Vec<Vec<(usize, f64)>>, Vec<f64>, Vec<f64>, Verdict);
+    let cases: Vec<Case> = vec![
+        ("empty row 0 = 0", vec![vec![], vec![(0, 1.0)]],
+            vec![0.0, 2.0], vec![1.0], At(vec![2.0])),
+        ("empty row, no columns", vec![vec![]], vec![0.0], vec![], At(vec![])),
+        ("empty row 0 = 1", vec![vec![]],
+            vec![1.0], vec![1.0], Infeasible),
+        ("singleton fixes", vec![vec![(0, 2.0)], vec![(0, 1.0), (1, 1.0), (2, 1.0)]],
+            vec![4.0, 5.0], vec![-1.0, 2.0, 1.0], At(vec![2.0, 0.0, 3.0])),
+        // 2·x0 = 4 fixes x0; x0 + x1 = 5 then fixes x1 = 3.
+        ("chained singletons", vec![vec![(0, 2.0)], vec![(0, 1.0), (1, 1.0)]],
+            vec![4.0, 5.0], vec![0.0, 0.0], At(vec![2.0, 3.0])),
+        ("negative singleton", vec![vec![(0, -1.0)], vec![(0, 1.0), (1, 1.0)]],
+            vec![3.0, 1.0], vec![0.0, 0.0], Infeasible),
+        // x0 = 3, so x0 + x1 = 1 needs x1 = −2.
+        ("sign flip after substitution", vec![vec![(0, 1.0)], vec![(0, 1.0), (1, 1.0)]],
+            vec![3.0, 1.0], vec![0.0, 0.0], Infeasible),
+        ("one copy", vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 1.0), (1, -1.0)]],
+            vec![2.0, 0.0], vec![1.0, 1.0], At(vec![1.0, 1.0])),
+        ("duplicate rows",
+            vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 2.0), (1, 2.0)], vec![(0, 1.0), (1, -1.0)]],
+            vec![2.0, 4.0, 0.0], vec![1.0, 1.0], At(vec![1.0, 1.0])),
+        ("conflicting duplicates", vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 1.0), (1, 1.0)]],
+            vec![2.0, 5.0], vec![1.0, 1.0], Infeasible),
+        ("empty column", vec![vec![(0, 1.0)], vec![(0, 1.0), (1, 1.0)]],
+            vec![1.0, 1.0], vec![0.0, 0.0, 3.0], At(vec![1.0, 0.0, 0.0])),
+        ("empty middle column", vec![vec![(0, 1.0), (2, 1.0)], vec![(0, 1.0), (2, -1.0)]],
+            vec![2.0, 1.0], vec![1.0, 0.0, 1.0], At(vec![1.5, 0.0, 0.5])),
+        ("negative-cost empty column, feasible", vec![vec![(0, 1.0)]],
+            vec![1.0], vec![0.0, -1.0], Unbounded),
+        // Infeasibility takes precedence over the improving ray.
+        ("negative-cost empty column, infeasible", vec![vec![(0, 1.0)], vec![(0, 1.0)]],
+            vec![1.0, 2.0], vec![0.0, -1.0], Infeasible),
+        ("empty system", vec![], vec![], vec![1.0, 0.0], At(vec![0.0, 0.0])),
+        ("empty system, negative cost", vec![], vec![], vec![0.0, -1.0], Unbounded),
+    ];
+    for choice in DIFF_BACKENDS {
+        for (name, rows, b, costs, want) in &cases {
+            let mut solver = LpSolver::with_choice(choice);
+            solver.set_failover(false);
+            let got = solver.solve_standard_sparse(costs, rows, b, costs.len());
+            match (want, &got) {
+                (At(x), Ok(y)) => assert!(
+                    x.len() == y.len() && x.iter().zip(y).all(|(u, v)| (u - v).abs() < 1e-9),
+                    "{choice}/{name}: x = {y:?}, want {x:?}"
+                ),
+                (Infeasible, Err(LpError::Infeasible)) | (Unbounded, Err(LpError::Unbounded)) => {}
+                _ => panic!("{choice}/{name}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 }
 

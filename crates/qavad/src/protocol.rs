@@ -79,8 +79,6 @@ pub fn lp_stats_to_json(stats: &LpStats) -> Json {
     let LpStats {
         solves,
         pivots,
-        presolve_rows_removed,
-        presolve_cols_removed,
         warm_start_hits,
         warm_start_misses,
         cache_evictions,
@@ -100,8 +98,6 @@ pub fn lp_stats_to_json(stats: &LpStats) -> Json {
     obj(vec![
         ("solves", n(*solves)),
         ("pivots", n(*pivots)),
-        ("presolve_rows_removed", n(*presolve_rows_removed)),
-        ("presolve_cols_removed", n(*presolve_cols_removed)),
         ("warm_start_hits", n(*warm_start_hits)),
         ("warm_start_misses", n(*warm_start_misses)),
         ("cache_evictions", n(*cache_evictions)),
@@ -166,8 +162,6 @@ pub fn lp_stats_from_json(json: &Json) -> LpStats {
     let mut stats = LpStats {
         solves: n("solves"),
         pivots: n("pivots"),
-        presolve_rows_removed: n("presolve_rows_removed"),
-        presolve_cols_removed: n("presolve_cols_removed"),
         warm_start_hits: n("warm_start_hits"),
         warm_start_misses: n("warm_start_misses"),
         cache_evictions: n("cache_evictions"),
@@ -332,6 +326,20 @@ mod tests {
         let stats = lp_stats_from_json(&json);
         assert_eq!((stats.solves, stats.pivots, stats.bland_retries), (5, 40, 0));
         assert_eq!(stats.backends[0].name, "lu-bg");
+
+        // An older daemon still reports the retired presolve counters
+        // between its other fields; every counter around them survives.
+        let json = parse(
+            r#"{"solves":36,"pivots":1200,"presolve_rows_removed":3,"presolve_cols_removed":3,
+                "warm_start_hits":9,"warm_start_misses":27,"cache_evictions":0,
+                "persistent_warm_hits":4,"watchdog_restarts":0,"watchdog_singular":0,
+                "watchdog_infeasible":0,"bland_retries":0,"failovers":0,
+                "failover_recoveries":0,"reopt_attempts":3,"reopt_successes":0,
+                "wall_seconds":0.125,
+                "backends":[{"name":"lu","solves":36,"pivots":1200,"wall_seconds":0.125}]}"#,
+        )
+        .unwrap();
+        assert_eq!(lp_stats_from_json(&json), sample_stats());
     }
 
     #[test]

@@ -241,8 +241,20 @@ fn raced_rows_through_the_daemon_certify_in_process_values() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Engine runs in the abandoned request of
+/// [`disconnect_mid_solve_cancels_and_frees_the_worker`].
+const ABANDONED_RUNS: usize = 200;
+
 /// A client that vanishes mid-solve must cancel its analysis and free
 /// the (only) analysis slot for the next request.
+///
+/// The abandoned request runs `hoeffding-linear` on the heaviest 3DWalk
+/// row [`ABANDONED_RUNS`] times over. Uncancelled that takes many
+/// seconds in any build, so the analysis is certainly still in flight
+/// when the hangup is seen — a fixed sleep before hanging up is not,
+/// once an optimized build finishes one run first. The engine works
+/// only through LP solves, so after the flag is raised every remaining
+/// run stops at its first solve boundary.
 #[test]
 fn disconnect_mid_solve_cancels_and_frees_the_worker() {
     let dir = scratch("disconnect");
@@ -251,28 +263,52 @@ fn disconnect_mid_solve_cancels_and_frees_the_worker() {
     config.max_inflight = 1;
     let handle = boot(config);
 
-    // Pick a heavyweight row so the analysis is guaranteed to still be
-    // in flight when the client hangs up.
     let rows = suite_rows();
-    let heavy = rows.iter().find(|b| b.name == "3DWalk").expect("3DWalk row exists");
+    let heavy = rows
+        .iter()
+        .filter(|b| b.name == "3DWalk")
+        .find(|b| b.params.get("y0") == Some(&150.0))
+        .expect("3DWalk (100, 150, 200) row exists");
+    // Compile the program first, so the abandoned request below is
+    // admitted as soon as it is looked up in the compile store.
+    let mut client = Client::connect(&socket).expect("client");
+    let compile = AnalyzeSpec {
+        id: 1,
+        source: heavy.source,
+        params: &heavy.params,
+        engines: vec!["hoeffding-linear".to_string()],
+        race: false,
+        deadline_ms: Some(1),
+        invariant_iters: SUITE_INVARIANT_ITERS,
+        lp_backend: None,
+    };
+    client.analyze(&compile).expect("compile the heavy row");
+
+    let engines = vec![Json::Str("hoeffding-linear".to_string()); ABANDONED_RUNS];
     let request = format!(
-        "{{\"cmd\":\"analyze\",\"source\":{},\"engines\":[\"explinsyn\"],\"invariant_iters\":8,\"params\":{}}}\n",
+        "{{\"cmd\":\"analyze\",\"source\":{},\"engines\":{},\"invariant_iters\":{SUITE_INVARIANT_ITERS},\"params\":{}}}\n",
         Json::Str(heavy.source.to_string()).render(),
+        Json::Arr(engines).render(),
         Json::Obj(heavy.params.iter().map(|(k, &v)| (k.clone(), Json::from_f64(v))).collect())
             .render(),
     );
     let mut vanishing = UnixStream::connect(&socket).expect("connect");
     vanishing.write_all(request.as_bytes()).expect("send analyze");
-    std::thread::sleep(Duration::from_millis(100));
+    // Hang up once the daemon has found the program in its store: the
+    // request is admitted next and runs far longer than this test.
+    let looked_up = Instant::now() + Duration::from_secs(60);
+    while client.stats().expect("stats").get("pts_hits").and_then(Json::as_usize) < Some(1) {
+        assert!(Instant::now() < looked_up, "the abandoned request never reached the store");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     drop(vanishing); // hang up without reading the response
 
     // With the only slot occupied by the abandoned analysis, this
     // request completes only once cancellation released the permit.
-    let mut client = Client::connect(&socket).expect("second client");
     let quick = &rows[0];
     let response = client
         .analyze(&AnalyzeSpec {
-            id: 1,
+            id: 2,
             source: quick.source,
             params: &quick.params,
             engines: vec!["hoeffding-linear".to_string()],
